@@ -5,8 +5,11 @@
 // workload (33 templates) in four regimes:
 //   * cold   — a fresh LP built and solved from scratch per estimate
 //              (the pre-pipeline behavior: LpNormBound on the statistics);
-//   * warm   — the advisor's compiled path: per-structure compiled bound,
-//              cached dual witness re-priced per call;
+//   * warm   — the advisor's scalar path, one call at a time, on the
+//              templates' unchanged statistics: every repeat is an exact
+//              input, so the per-structure estimate memo answers it
+//              (statistics assembly + structure lookup + memo compare, no
+//              LP work — its kernel table is empty);
 //   * batch  — the advisor's batched what-if path: per template, one
 //              statistics assembly + structure lookup + per-bound lock for
 //              a whole block of value vectors, re-priced through the LP
@@ -14,8 +17,10 @@
 //   * warm + value jitter — the statistics change between calls, so each
 //              evaluation re-prices (and occasionally re-solves) rather
 //              than hitting an unchanged optimum.
-// The table reports the speedups and the advisor's witness/warm/cold
-// counters, making the pipeline's cache behavior observable. The warm and
+// The table reports the speedups and the advisor's memo/witness/warm/cold
+// counters, making the pipeline's cache behavior observable. (The batch
+// regimes use the what-if overload, which bypasses the memo, so they
+// measure the LP's witness and block re-pricing paths.) The warm and
 // batch regimes run once per LP backend (dense tableau vs revised simplex,
 // see lp/tableau.h), so the table doubles as the perf gate on the revised
 // backend's witness and block re-pricing paths.
@@ -149,14 +154,14 @@ struct RegimeRun {
   double speedup = 0.0;     // vs the cold regime
   int batch_size = 1;       // value vectors per advisor call
   int repeats = 0;          // workload sweeps this regime actually ran
-  uint64_t witness = 0, warm = 0, cold = 0;
+  uint64_t memo = 0, witness = 0, warm = 0, cold = 0;
   // LP work behind the regime (AdvisorMetrics deltas): simplex pivots and
   // basis refactorizations. The warm regime's refactorizations-per-resolve
   // is the Forrest–Tomlin acceptance metric — the eta-file scheme
   // refactorized every 32 updates, FT carries 64 plus a fill budget.
   uint64_t pivots = 0, refactorizations = 0;
-  // Per-kernel call/cycle table (lp/kernels.h), collected in ONE extra
-  // workload sweep with cycle timing on — the timed measurement above runs
+  // Per-kernel call/cycle table (lp/kernels.h), collected in extra
+  // workload sweeps with cycle timing on — the timed measurement above runs
   // with timing off, so the rdtsc pairs never skew the gated est/s.
   unsigned long long kernel_calls[kNumLpKernels] = {};
   unsigned long long kernel_cycles[kNumLpKernels] = {};
@@ -170,17 +175,24 @@ struct RegimeRun {
 // what the stricter per-kernel call-count gate relies on.)
 constexpr int kKernelTableSweeps = 16;
 
-// Runs `sweep` kKernelTableSweeps times with kernel cycle timing enabled
-// and stores the thread-local counter deltas in `run`. The timed regime
-// measurement runs with timing off; this extra pass is the only place the
-// rdtsc pairs execute, so they never skew the gated est/s. Calls are
-// deterministic per sweep; cycles are machine-dependent but their shares
-// within one regime are what the gate compares.
+// Runs `sweep` on `fresh` — a newly built advisor, prepared exactly like
+// the timed one — `warmup` times untimed, then kKernelTableSweeps times
+// with kernel cycle timing enabled, and stores the thread-local counter
+// deltas in `run`. The timed loop stops on wall-clock time, so the
+// solvers' periodic state (the every-64-calls full re-price, the FT
+// refactorization counter) leaves it at a different phase in every run; a
+// fresh advisor after a fixed call count is at the same phase every time,
+// which is what makes the calls deterministic. This pass is also the only
+// place the rdtsc pairs execute, so they never skew the gated est/s.
+// Cycles are machine-dependent, but their shares within one regime are
+// what the gate compares.
 template <typename SweepFn>
-void CollectKernelTable(RegimeRun& run, const SweepFn& sweep) {
+void CollectKernelTable(RegimeRun& run, CardinalityAdvisor& fresh,
+                        int warmup, const SweepFn& sweep) {
+  for (int s = 0; s < warmup; ++s) sweep(fresh);
   SetLpKernelCycleTiming(true);
   const LpKernelCounters base = g_lp_kernel_counters;
-  for (int s = 0; s < kKernelTableSweeps; ++s) sweep();
+  for (int s = 0; s < kKernelTableSweeps; ++s) sweep(fresh);
   SetLpKernelCycleTiming(false);
   for (int k = 0; k < kNumLpKernels; ++k) {
     run.kernel_calls[k] = g_lp_kernel_counters.calls[k] - base.calls[k];
@@ -190,6 +202,7 @@ void CollectKernelTable(RegimeRun& run, const SweepFn& sweep) {
 
 void FillLpWork(RegimeRun& run, const AdvisorMetrics& before,
                 const AdvisorMetrics& after) {
+  run.memo = after.memo_hits - before.memo_hits;
   run.witness = after.witness_hits - before.witness_hits;
   run.warm = after.warm_resolves - before.warm_resolves;
   run.cold = after.cold_solves - before.cold_solves;
@@ -199,15 +212,21 @@ void FillLpWork(RegimeRun& run, const AdvisorMetrics& before,
 }
 
 // Warm regime for one LP backend: full advisor path (statistics lookup +
-// compiled evaluate) over the whole template workload, one call at a time.
+// structure lookup + estimate memo) over the whole template workload, one
+// call at a time.
 RegimeRun MeasureWarm(LpBackendKind backend, const char* label, int repeats,
                       const std::vector<double>& expected) {
   JobWorkload& wl = Workload();
   AdvisorOptions opt;
   opt.engine.simplex.backend = backend;
-  CardinalityAdvisor advisor(wl.catalog, opt);
   const size_t m = wl.queries.size();
-  for (const Query& q : wl.queries) advisor.EstimateLog2(q);  // compile
+  auto sweep = [&](CardinalityAdvisor& advisor) {
+    for (size_t i = 0; i < m; ++i) {
+      benchmark::DoNotOptimize(advisor.EstimateLog2(wl.queries[i]));
+    }
+  };
+  CardinalityAdvisor advisor(wl.catalog, opt);
+  sweep(advisor);  // compile
 
   const AdvisorMetrics before = advisor.metrics();
   int sweeps = 0;
@@ -232,11 +251,9 @@ RegimeRun MeasureWarm(LpBackendKind backend, const char* label, int repeats,
   run.repeats = sweeps;
   run.est_per_s = static_cast<double>(sweeps) * m / secs;
   FillLpWork(run, before, after);
-  CollectKernelTable(run, [&] {
-    for (size_t i = 0; i < m; ++i) {
-      benchmark::DoNotOptimize(advisor.EstimateLog2(wl.queries[i]));
-    }
-  });
+  CardinalityAdvisor fresh(wl.catalog, opt);
+  sweep(fresh);  // compile
+  CollectKernelTable(run, fresh, repeats, sweep);
   return run;
 }
 
@@ -252,15 +269,24 @@ RegimeRun MeasureBatch(LpBackendKind backend, const char* label, int repeats,
   JobWorkload& wl = Workload();
   AdvisorOptions opt;
   opt.engine.simplex.backend = backend;
-  CardinalityAdvisor advisor(wl.catalog, opt);
   const size_t m = wl.queries.size();
+  // Explain compiles every template and yields the values batches start
+  // from.
+  auto compile = [&](CardinalityAdvisor& advisor) {
+    std::vector<std::vector<double>> values;
+    for (const Query& q : wl.queries) {
+      values.push_back(ValuesOf(advisor.Explain(q).stats));
+    }
+    return values;
+  };
+  CardinalityAdvisor advisor(wl.catalog, opt);
+  const std::vector<std::vector<double>> real = compile(advisor);
 
   // Per-template batches: the real values, each vector optionally with a
   // deterministic +/-2% jitter on one statistic.
   std::vector<std::vector<std::vector<double>>> batches(m);
   for (size_t i = 0; i < m; ++i) {
-    const auto stats = advisor.Explain(wl.queries[i]).stats;  // also compiles
-    const std::vector<double> base = ValuesOf(stats);
+    const std::vector<double>& base = real[i];
     batches[i].reserve(kBatchSize);
     for (int c = 0; c < kBatchSize; ++c) {
       std::vector<double> values = base;
@@ -298,10 +324,12 @@ RegimeRun MeasureBatch(LpBackendKind backend, const char* label, int repeats,
   run.repeats = sweeps;
   run.est_per_s = static_cast<double>(sweeps) * m * kBatchSize / secs;
   FillLpWork(run, before, after);
-  CollectKernelTable(run, [&] {
+  CardinalityAdvisor fresh(wl.catalog, opt);
+  compile(fresh);
+  CollectKernelTable(run, fresh, repeats, [&](CardinalityAdvisor& a) {
     for (size_t i = 0; i < m; ++i) {
       const std::vector<double> ests =
-          advisor.EstimateLog2Batch(wl.queries[i], batches[i]);
+          a.EstimateLog2Batch(wl.queries[i], batches[i]);
       benchmark::DoNotOptimize(ests.data());
     }
   });
@@ -514,6 +542,8 @@ struct ServeRun {
   uint64_t norm_hits = 0, norm_misses = 0, norm_shard_locks = 0;
   size_t cache_bytes = 0;
   uint64_t invalidations = 0;
+  // Evaluated queries the estimate memo answered (AdvisorMetrics delta).
+  uint64_t memo_hits = 0;
 };
 
 ServeRun MeasureServe(LpBackendKind backend, double warm_rate) {
@@ -607,6 +637,7 @@ ServeRun MeasureServe(LpBackendKind backend, double warm_rate) {
   run.norm_misses = after.norm_misses - before.norm_misses;
   run.norm_shard_locks = after.norm_shard_locks - before.norm_shard_locks;
   run.cache_bytes = advisor.CacheBytes();
+  run.memo_hits = after.memo_hits - before.memo_hits;
   return run;
 }
 
@@ -635,7 +666,7 @@ struct OptimizerRun {
   // AdvisorMetrics deltas across the whole timed run (bound lanes only).
   uint64_t advisor_batch_calls = 0;
   uint64_t advisor_batch_probes = 0;
-  uint64_t witness = 0, warm = 0, cold = 0;
+  uint64_t memo = 0, witness = 0, warm = 0, cold = 0;
 };
 
 OptimizerRun MeasureOptimizer(bool bound_model, LpBackendKind backend,
@@ -697,6 +728,7 @@ OptimizerRun MeasureOptimizer(bool bound_model, LpBackendKind backend,
       static_cast<double>(sweeps) * static_cast<double>(run.queries) / secs;
   run.advisor_batch_calls = after.batch_calls - before.batch_calls;
   run.advisor_batch_probes = after.batch_probes - before.batch_probes;
+  run.memo = after.memo_hits - before.memo_hits;
   run.witness = after.witness_hits - before.witness_hits;
   run.warm = after.warm_resolves - before.warm_resolves;
   run.cold = after.cold_solves - before.cold_solves;
@@ -771,9 +803,10 @@ PlanQuality MeasurePlanQuality() {
 
 void PrintCounters(const RegimeRun& run) {
   std::printf(
-      "%-28s %14.0f est/s   (%.1fx)   witness=%llu warm=%llu cold=%llu "
-      "pivots=%llu refac=%llu\n",
+      "%-28s %14.0f est/s   (%.1fx)   memo=%llu witness=%llu warm=%llu "
+      "cold=%llu pivots=%llu refac=%llu\n",
       run.label, run.est_per_s, run.speedup,
+      static_cast<unsigned long long>(run.memo),
       static_cast<unsigned long long>(run.witness),
       static_cast<unsigned long long>(run.warm),
       static_cast<unsigned long long>(run.cold),
@@ -804,12 +837,12 @@ void DumpRunsJson(std::FILE* f, const char* section,
     std::fprintf(f,
                  "    {\"backend\": \"%s\", \"est_per_s\": %.1f, "
                  "\"speedup\": %.2f, \"batch_size\": %d, "
-                 "\"repeats\": %d, "
+                 "\"repeats\": %d, \"memo_hits\": %llu, "
                  "\"witness\": %llu, \"warm\": %llu, \"cold\": %llu, "
                  "\"pivots\": %llu, \"refactorizations\": %llu,\n"
                  "     \"kernels\": [",
                  run.backend, run.est_per_s, run.speedup, run.batch_size,
-                 run.repeats,
+                 run.repeats, static_cast<unsigned long long>(run.memo),
                  static_cast<unsigned long long>(run.witness),
                  static_cast<unsigned long long>(run.warm),
                  static_cast<unsigned long long>(run.cold),
@@ -860,8 +893,9 @@ void PrintTable() {
   const double cold_rate = n_est / cold_s;
 
   std::vector<RegimeRun> warm_runs = {
-      MeasureWarm(LpBackendKind::kDense, "warm dense", kRepeats, expected),
-      MeasureWarm(LpBackendKind::kRevised, "warm revised", kRepeats,
+      MeasureWarm(LpBackendKind::kDense, "warm dense (memo)", kRepeats,
+                  expected),
+      MeasureWarm(LpBackendKind::kRevised, "warm revised (memo)", kRepeats,
                   expected),
   };
   // Fewer repeats for the batch regimes: each repeat serves
@@ -941,12 +975,14 @@ void PrintTable() {
   for (const RegimeRun& run : warm_runs) PrintCounters(run);
   for (const RegimeRun& run : batch_runs) PrintCounters(run);
   for (const RegimeRun& run : jitter_runs) PrintCounters(run);
-  std::printf("-- per-kernel calls/cycles-per-call (one timing-on sweep) --\n");
+  std::printf("-- per-kernel calls/cycles-per-call (fresh advisor, %d "
+              "timing-on sweeps after a fixed warm-up) --\n",
+              kKernelTableSweeps);
   for (const auto* runs : {&warm_runs, &batch_runs, &jitter_runs}) {
     for (const RegimeRun& run : *runs) PrintKernelTable(run);
   }
   for (size_t i = 0; i < warm_runs.size() && i < batch_runs.size(); ++i) {
-    std::printf("%-28s %14.2fx  (batch of %d vs scalar warm, %s)\n",
+    std::printf("%-28s %14.2fx  (batch of %d vs scalar warm memo hits, %s)\n",
                 "batch/scalar", batch_runs[i].est_per_s / warm_runs[i].est_per_s,
                 batch_runs[i].batch_size, warm_runs[i].backend);
   }
@@ -999,7 +1035,7 @@ void PrintTable() {
         "         p50=%.0fus p99=%.0fus p999=%.0fus  batches=%llu "
         "mean=%.1f max=%llu dedup=%.1fx depth=%llu rejected=%llu\n"
         "         norm hits=%llu misses=%llu shard_locks=%llu "
-        "cache=%zuB invalidations=%llu\n",
+        "cache=%zuB invalidations=%llu memo=%llu\n",
         run.backend, run.clients, run.pipeline, run.workers, run.est_per_s,
         run.warm_ratio, run.p50_us, run.p99_us, run.p999_us,
         static_cast<unsigned long long>(run.batches), run.mean_batch,
@@ -1010,7 +1046,8 @@ void PrintTable() {
         static_cast<unsigned long long>(run.norm_misses),
         static_cast<unsigned long long>(run.norm_shard_locks),
         run.cache_bytes,
-        static_cast<unsigned long long>(run.invalidations));
+        static_cast<unsigned long long>(run.invalidations),
+        static_cast<unsigned long long>(run.memo_hits));
   }
   std::printf("\n== Join-order optimizer, DPsize over %zu JOB templates ==\n",
               m);
@@ -1025,10 +1062,11 @@ void PrintTable() {
         static_cast<unsigned long long>(run.memo_entries));
     if (run.advisor_batch_calls > 0) {
       std::printf(
-          "%-12s %-8s advisor: batches=%llu probes=%llu witness=%llu "
-          "warm=%llu cold=%llu\n",
+          "%-12s %-8s advisor: batches=%llu probes=%llu memo=%llu "
+          "witness=%llu warm=%llu cold=%llu\n",
           "", "", static_cast<unsigned long long>(run.advisor_batch_calls),
           static_cast<unsigned long long>(run.advisor_batch_probes),
+          static_cast<unsigned long long>(run.memo),
           static_cast<unsigned long long>(run.witness),
           static_cast<unsigned long long>(run.warm),
           static_cast<unsigned long long>(run.cold));
@@ -1125,7 +1163,8 @@ void PrintTable() {
             "\"max_queue_depth\": %llu,\n"
             "     \"norm_hits\": %llu, \"norm_misses\": %llu, "
             "\"norm_hit_rate\": %.3f, \"norm_shard_locks\": %llu, "
-            "\"cache_bytes\": %zu, \"invalidations\": %llu}%s\n",
+            "\"cache_bytes\": %zu, \"invalidations\": %llu, "
+            "\"memo_hits\": %llu}%s\n",
             run.backend, run.clients, run.workers, run.pipeline,
             run.est_per_s, run.warm_ratio, run.p50_us, run.p99_us,
             run.p999_us, run.mean_batch,
@@ -1143,6 +1182,7 @@ void PrintTable() {
             static_cast<unsigned long long>(run.norm_shard_locks),
             run.cache_bytes,
             static_cast<unsigned long long>(run.invalidations),
+            static_cast<unsigned long long>(run.memo_hits),
             i + 1 < serve_runs.size() ? "," : "");
       }
       std::fprintf(f, "  ],\n  \"optimizer\": [\n");
@@ -1155,7 +1195,7 @@ void PrintTable() {
             "     \"probes\": %llu, \"batch_calls\": %llu, "
             "\"dp_levels\": %llu, \"memo_entries\": %llu,\n"
             "     \"advisor_batch_calls\": %llu, "
-            "\"advisor_batch_probes\": %llu, "
+            "\"advisor_batch_probes\": %llu, \"memo_hits\": %llu, "
             "\"witness\": %llu, \"warm\": %llu, \"cold\": %llu,\n"
             "     \"probes_per_level\": [",
             run.model, run.backend, run.plans_per_s, run.repeats, run.queries,
@@ -1165,6 +1205,7 @@ void PrintTable() {
             static_cast<unsigned long long>(run.memo_entries),
             static_cast<unsigned long long>(run.advisor_batch_calls),
             static_cast<unsigned long long>(run.advisor_batch_probes),
+            static_cast<unsigned long long>(run.memo),
             static_cast<unsigned long long>(run.witness),
             static_cast<unsigned long long>(run.warm),
             static_cast<unsigned long long>(run.cold));

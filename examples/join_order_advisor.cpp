@@ -168,13 +168,14 @@ int main() {
   const AdvisorMetrics m = advisor.metrics();
   std::printf(
       "\nadvisor: %llu estimates in %llu batches over %zu compiled "
-      "structures (hits %llu / misses %llu); eval paths: witness=%llu "
-      "warm=%llu cold=%llu; lp backend: %s\n",
+      "structures (hits %llu / misses %llu); eval paths: memo=%llu "
+      "witness=%llu warm=%llu cold=%llu; lp backend: %s\n",
       static_cast<unsigned long long>(m.estimates),
       static_cast<unsigned long long>(m.batch_calls),
       advisor.CompiledCacheSize(),
       static_cast<unsigned long long>(m.compiled_hits),
       static_cast<unsigned long long>(m.compiled_misses),
+      static_cast<unsigned long long>(m.memo_hits),
       static_cast<unsigned long long>(m.witness_hits),
       static_cast<unsigned long long>(m.warm_resolves),
       static_cast<unsigned long long>(m.cold_solves), lp_backend.c_str());

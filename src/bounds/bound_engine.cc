@@ -120,8 +120,29 @@ BoundResult StructurallyUnboundedResult(LpBackendKind backend) {
   return out;
 }
 
-BoundResult MakeGammaResult(const LpResult& lp, int n, int num_stats,
-                            int cut_rounds, bool want_h_opt) {
+// The answer when the LP fails (neither optimal nor unbounded, e.g. an
+// iteration limit): the product bound, Σ log_b over the cardinality
+// assertions (U = ∅, p = 1). It bounds a full conjunctive query whenever
+// those assertions cover all n variables, and is +∞ otherwise.
+void AnswerWithProductBound(const BoundStructure& structure,
+                            const std::vector<double>& log_b,
+                            BoundResult& result) {
+  VarSet covered = 0;
+  double sum = 0.0;
+  for (size_t i = 0; i < structure.shapes.size(); ++i) {
+    if (!IsAgmShape(structure.shapes[i])) continue;
+    covered |= structure.shapes[i].sigma.v;
+    sum += log_b[i];
+  }
+  result.log2_bound = covered == FullSet(structure.n) ? sum : kInfNorm;
+  result.fallback = true;
+}
+
+BoundResult MakeGammaResult(const LpResult& lp,
+                            const BoundStructure& structure,
+                            const std::vector<double>& log_b, int cut_rounds,
+                            bool want_h_opt) {
+  const int n = structure.n;
   BoundResult result;
   result.status = lp.status;
   result.cut_rounds = cut_rounds;
@@ -134,9 +155,13 @@ BoundResult MakeGammaResult(const LpResult& lp, int n, int num_stats,
     result.log2_bound = kInfNorm;
     return result;
   }
-  if (lp.status != LpStatus::kOptimal) return result;
+  if (lp.status != LpStatus::kOptimal) {
+    AnswerWithProductBound(structure, log_b, result);
+    return result;
+  }
   result.log2_bound = lp.objective;
-  result.weights.assign(lp.duals.begin(), lp.duals.begin() + num_stats);
+  result.weights.assign(lp.duals.begin(),
+                        lp.duals.begin() + structure.shapes.size());
   if (want_h_opt) {
     result.h_opt = SetFunction(n);
     const VarSet full = FullSet(n);
@@ -206,7 +231,7 @@ std::vector<BoundResult> BatchThroughTableau(
         out[i + k] = StructurallyUnboundedResult(tableau.backend());
         continue;
       }
-      out[i + k] = finalize(lps[k]);
+      out[i + k] = finalize(lps[k], batch[i + k]);
       if (out[i + k].unbounded() && !structurally_unbounded) {
         structurally_unbounded = true;
         flipped_mid_run = true;
@@ -242,7 +267,6 @@ class CompiledGammaBound : public CompiledBound {
   CompiledGammaBound(BoundStructure structure, const EngineOptions& options)
       : CompiledBound(std::move(structure)),
         options_(options),
-        num_stats_(static_cast<int>(structure_.shapes.size())),
         full_mode_(structure_.n <= options_.full_lattice_max_n),
         lp_((1 << structure_.n) - 1) {
     const int n = structure_.n;
@@ -358,7 +382,7 @@ class CompiledGammaBound : public CompiledBound {
     }
 
     BoundResult result =
-        MakeGammaResult(lp_result, n, num_stats_, rounds, want_h_opt);
+        MakeGammaResult(lp_result, structure_, log_b, rounds, want_h_opt);
     result.lp_stats = stats_sum;
     if (cold_grew) result.eval_path = LpEvalPath::kCold;
     if (!full_mode_ && result.ok() &&
@@ -379,7 +403,6 @@ class CompiledGammaBound : public CompiledBound {
   std::vector<BoundResult> EvaluateBatchImpl(
       std::span<const std::vector<double>> log_b_batch,
       bool want_h_opt) override {
-    const int n = structure_.n;
     if (!full_mode_) {
       return EvaluateBatchCutting(log_b_batch, want_h_opt);
     }
@@ -395,8 +418,8 @@ class CompiledGammaBound : public CompiledBound {
           }
           std::copy(log_b.begin(), log_b.end(), rhs.begin());
         },
-        [&](const LpResult& lp) {
-          return MakeGammaResult(lp, n, num_stats_, 0, want_h_opt);
+        [&](const LpResult& lp, const std::vector<double>& log_b) {
+          return MakeGammaResult(lp, structure_, log_b, 0, want_h_opt);
         });
   }
 
@@ -459,7 +482,8 @@ class CompiledGammaBound : public CompiledBound {
         }
         // Cut-converged (or non-optimal, where the scalar path runs no cut
         // rounds either): the block result is the scalar result.
-        BoundResult result = MakeGammaResult(lp, n, num_stats_, 0, want_h_opt);
+        BoundResult result = MakeGammaResult(lp, structure_, log_b_batch[col],
+                                             0, want_h_opt);
         if (result.ok() &&
             result.log2_bound >= run[k][box_row_] * (1.0 - 1e-9)) {
           result.status = LpStatus::kUnbounded;
@@ -498,7 +522,6 @@ class CompiledGammaBound : public CompiledBound {
   }
 
   EngineOptions options_;
-  int num_stats_;
   bool full_mode_;
   LpProblem lp_;
   std::optional<SimplexTableau> tableau_;
@@ -541,8 +564,8 @@ class CompiledNormalBound : public CompiledBound {
     if (structurally_unbounded_ && AllNonNegative(log_b)) {
       return StructurallyUnboundedResult(tableau_.backend());
     }
-    BoundResult result = ResultFromLp(tableau_.ResolveWithRhs(log_b),
-                                      want_h_opt);
+    BoundResult result =
+        ResultFromLp(tableau_.ResolveWithRhs(log_b), log_b, want_h_opt);
     if (result.unbounded()) structurally_unbounded_ = true;
     return result;
   }
@@ -557,11 +580,14 @@ class CompiledNormalBound : public CompiledBound {
         [](const std::vector<double>& log_b, std::vector<double>& rhs) {
           rhs.assign(log_b.begin(), log_b.end());
         },
-        [&](const LpResult& lp) { return ResultFromLp(lp, want_h_opt); });
+        [&](const LpResult& lp, const std::vector<double>& log_b) {
+          return ResultFromLp(lp, log_b, want_h_opt);
+        });
   }
 
  private:
-  BoundResult ResultFromLp(const LpResult& lp, bool want_h_opt) {
+  BoundResult ResultFromLp(const LpResult& lp, const std::vector<double>& log_b,
+                           bool want_h_opt) {
     BoundResult result;
     result.status = lp.status;
     result.lp_iterations = lp.iterations;
@@ -573,7 +599,10 @@ class CompiledNormalBound : public CompiledBound {
       result.log2_bound = kInfNorm;
       return result;
     }
-    if (lp.status != LpStatus::kOptimal) return result;
+    if (lp.status != LpStatus::kOptimal) {
+      AnswerWithProductBound(structure_, log_b, result);
+      return result;
+    }
     result.log2_bound = lp.objective;
     result.weights = lp.duals;
     if (want_h_opt) {

@@ -85,6 +85,10 @@ class CompiledBound {
   // Evaluates the bound at the given statistic values (aligned with
   // structure().shapes). `want_h_opt` materializes the optimal polymatroid
   // h* in the result — an O(2^n) copy that pure estimation loops skip.
+  // Should the LP fail (neither optimal nor unbounded, e.g. an iteration
+  // limit), the result is still sound: the product bound Σ log_b over the
+  // cardinality shapes (U = ∅, p = 1), or +∞ when those do not cover every
+  // variable, marked BoundResult::fallback.
   BoundResult Evaluate(const std::vector<double>& log_b,
                        bool want_h_opt = true);
 

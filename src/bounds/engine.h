@@ -76,6 +76,10 @@ struct BoundResult {
   // log2 of the output-size bound; +infinity when the statistics do not
   // bound the query at all (LP unbounded).
   double log2_bound = 0.0;
+  // True when the LP failed (neither optimal nor unbounded) and a compiled
+  // bound answered with the product bound instead (bounds/bound_engine.h):
+  // sound, usually loose, and carrying no weights or h*.
+  bool fallback = false;
   // Dual weight w_i per input statistic: the coefficients of the witness
   // Σ-inequality (8) certifying the bound; Σ_i w_i log_b_i == log2_bound.
   std::vector<double> weights;

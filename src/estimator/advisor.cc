@@ -1,7 +1,10 @@
 #include "estimator/advisor.h"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 
 #include "bounds/normal_engine.h"
@@ -84,6 +87,42 @@ void AppendStats(const StatRequest& request,
 }
 
 }  // namespace
+
+const CardinalityAdvisor::EstimateMemo::Slot*
+CardinalityAdvisor::EstimateMemo::Find(const std::vector<double>& values) {
+  auto it = std::find_if(slots_.begin(), slots_.end(), [&](const Slot& slot) {
+    return std::equal(slot.values.begin(), slot.values.end(), values.begin(),
+                      values.end(), [](double a, double b) {
+                        return std::bit_cast<uint64_t>(a) ==
+                               std::bit_cast<uint64_t>(b);
+                      });
+  });
+  if (it == slots_.end()) return nullptr;
+  std::rotate(slots_.begin(), it, it + 1);
+  return &slots_.front();
+}
+
+CardinalityAdvisor::EstimateMemo::Slot&
+CardinalityAdvisor::EstimateMemo::Insert(std::vector<double> values) {
+  if (slots_.size() == kCapacity) slots_.pop_back();
+  return *slots_.insert(slots_.begin(), Slot{std::move(values)});
+}
+
+void CardinalityAdvisor::EstimateMemo::Settle(
+    const std::vector<BoundResult>& results) {
+  size_t kept = 0;
+  for (Slot& slot : slots_) {
+    if (slot.pending != kSettled) {
+      const BoundResult& result = results[slot.pending];
+      if (result.fallback) continue;
+      slot.log2_bound = result.log2_bound;
+      slot.pending = kSettled;
+    }
+    if (&slot != &slots_[kept]) slots_[kept] = std::move(slot);
+    ++kept;
+  }
+  slots_.resize(kept);
+}
 
 CardinalityAdvisor::CardinalityAdvisor(const Catalog& catalog,
                                        AdvisorOptions options)
@@ -218,6 +257,8 @@ CardinalityAdvisor::LookupOrCompile(const BoundStructure& structure,
 }
 
 void CardinalityAdvisor::RecordEval(const BoundResult& result) {
+  estimates_.fetch_add(1, std::memory_order_relaxed);
+  if (result.fallback) lp_fallbacks_.fetch_add(1, std::memory_order_relaxed);
   switch (result.eval_path) {
     case LpEvalPath::kWitness:
       witness_hits_.fetch_add(1, std::memory_order_relaxed);
@@ -271,22 +312,6 @@ void CardinalityAdvisor::RecordEval(const BoundResult& result) {
   }
 }
 
-BoundResult CardinalityAdvisor::EvaluateCompiled(
-    int n, const std::vector<ConcreteStatistic>& stats, bool want_h_opt) {
-  const BoundStructure structure = StructureOf(n, stats);
-  std::shared_ptr<CompiledEntry> entry =
-      LookupOrCompile(structure, StructureKey(structure));
-
-  BoundResult result;
-  {
-    std::lock_guard<std::mutex> lock(entry->mu);
-    result = entry->bound->Evaluate(ValuesOf(stats), want_h_opt);
-  }
-  estimates_.fetch_add(1, std::memory_order_relaxed);
-  RecordEval(result);
-  return result;
-}
-
 double CardinalityAdvisor::EstimateLog2(const Query& query) {
   // The empty conjunction has exactly one (empty) answer tuple: log2 1 = 0.
   // Guarded here because no bound engine accepts a 0-variable structure.
@@ -294,9 +319,27 @@ double CardinalityAdvisor::EstimateLog2(const Query& query) {
     estimates_.fetch_add(1, std::memory_order_relaxed);
     return 0.0;
   }
-  auto stats = AssembleStatistics(query);
-  return EvaluateCompiled(query.num_vars(), stats, /*want_h_opt=*/false)
-      .log2_bound;
+  const auto stats = AssembleStatistics(query);
+  const BoundStructure structure = StructureOf(query.num_vars(), stats);
+  std::shared_ptr<CompiledEntry> entry =
+      LookupOrCompile(structure, StructureKey(structure));
+  std::vector<double> values = ValuesOf(stats);
+
+  BoundResult result;
+  {
+    std::lock_guard<std::mutex> lock(entry->mu);
+    if (const EstimateMemo::Slot* slot = entry->memo.Find(values)) {
+      estimates_.fetch_add(1, std::memory_order_relaxed);
+      memo_hits_.fetch_add(1, std::memory_order_relaxed);
+      return slot->log2_bound;
+    }
+    result = entry->bound->Evaluate(values, /*want_h_opt=*/false);
+    if (!result.fallback) {
+      entry->memo.Insert(std::move(values)).log2_bound = result.log2_bound;
+    }
+  }
+  RecordEval(result);
+  return result.log2_bound;
 }
 
 double CardinalityAdvisor::Estimate(const Query& query) {
@@ -352,7 +395,6 @@ std::vector<double> CardinalityAdvisor::EstimateLog2Batch(
                   : entry->bound->EvaluateBatch(valid_values,
                                                 /*want_h_opt=*/false);
   }
-  estimates_.fetch_add(results.size(), std::memory_order_relaxed);
   for (size_t k = 0; k < results.size(); ++k) {
     RecordEval(results[k]);
     out[valid[k]] = results[k].log2_bound;
@@ -398,19 +440,49 @@ std::vector<double> CardinalityAdvisor::EstimateLog2Batch(
   }
 
   std::vector<double> out(queries.size(), 0.0);
-  for (const Group& group : groups) {
+  for (Group& group : groups) {
     std::shared_ptr<CompiledEntry> entry =
         LookupOrCompile(group.structure, group.key);
+    // Replay the memo over the group in order, entering each miss as a
+    // pending slot: hits, misses and evictions then fall exactly where the
+    // scalar sequence puts them, and a repeat of an earlier miss of the
+    // group shares its evaluation. Only the misses reach the LP, through
+    // one EvaluateBatch. (Only an LP failure can tell the two apart: a
+    // pending slot whose evaluation falls back is dropped after the fact,
+    // so a repeat later in the group shares that sound fallback answer and
+    // the slot it displaced stays evicted.)
+    std::vector<size_t> miss_of(group.values.size());
+    std::vector<std::vector<double>> misses;
     std::vector<BoundResult> results;
+    uint64_t hits = 0;
     {
       std::lock_guard<std::mutex> lock(entry->mu);
-      results = entry->bound->EvaluateBatch(group.values,
-                                            /*want_h_opt=*/false);
+      for (size_t k = 0; k < group.values.size(); ++k) {
+        if (const EstimateMemo::Slot* slot =
+                entry->memo.Find(group.values[k])) {
+          ++hits;
+          miss_of[k] = slot->pending;
+          if (slot->pending == EstimateMemo::kSettled) {
+            out[group.indices[k]] = slot->log2_bound;
+          }
+          continue;
+        }
+        miss_of[k] = misses.size();
+        entry->memo.Insert(group.values[k]).pending = misses.size();
+        misses.push_back(std::move(group.values[k]));
+      }
+      if (!misses.empty()) {
+        results = entry->bound->EvaluateBatch(misses, /*want_h_opt=*/false);
+        entry->memo.Settle(results);
+      }
     }
-    estimates_.fetch_add(results.size(), std::memory_order_relaxed);
-    for (size_t k = 0; k < results.size(); ++k) {
-      RecordEval(results[k]);
-      out[group.indices[k]] = results[k].log2_bound;
+    estimates_.fetch_add(hits, std::memory_order_relaxed);
+    memo_hits_.fetch_add(hits, std::memory_order_relaxed);
+    for (const BoundResult& result : results) RecordEval(result);
+    for (size_t k = 0; k < group.values.size(); ++k) {
+      if (miss_of[k] != EstimateMemo::kSettled) {
+        out[group.indices[k]] = results[miss_of[k]].log2_bound;
+      }
     }
   }
   return out;
@@ -428,8 +500,15 @@ CardinalityAdvisor::Explanation CardinalityAdvisor::Explain(
   Explanation out;
   out.stats = AssembleStatistics(query);
   for (ConcreteStatistic& s : out.stats) s.label = ToString(s, query);
-  out.bound =
-      EvaluateCompiled(query.num_vars(), out.stats, /*want_h_opt=*/true);
+  const BoundStructure structure = StructureOf(query.num_vars(), out.stats);
+  std::shared_ptr<CompiledEntry> entry =
+      LookupOrCompile(structure, StructureKey(structure));
+  {
+    std::lock_guard<std::mutex> lock(entry->mu);
+    out.bound = entry->bound->Evaluate(ValuesOf(out.stats),
+                                       /*want_h_opt=*/true);
+  }
+  RecordEval(out.bound);
   out.metrics = metrics();
   out.lp_backend = LpBackendName(out.bound.lp_backend);
   return out;
@@ -443,6 +522,15 @@ size_t CardinalityAdvisor::CompiledCacheSize() const {
   return compiled_.load(std::memory_order_acquire)->size();
 }
 
+size_t CardinalityAdvisor::MemoSize() const {
+  size_t slots = 0;
+  for (const auto& [key, entry] : *compiled_.load(std::memory_order_acquire)) {
+    std::lock_guard<std::mutex> lock(entry->mu);
+    slots += entry->memo.size();
+  }
+  return slots;
+}
+
 AdvisorMetrics CardinalityAdvisor::metrics() const {
   AdvisorMetrics m;
   m.estimates = estimates_.load(std::memory_order_relaxed);
@@ -450,9 +538,11 @@ AdvisorMetrics CardinalityAdvisor::metrics() const {
   m.batch_probes = batch_probes_.load(std::memory_order_relaxed);
   m.compiled_hits = compiled_hits_.load(std::memory_order_relaxed);
   m.compiled_misses = compiled_misses_.load(std::memory_order_relaxed);
+  m.memo_hits = memo_hits_.load(std::memory_order_relaxed);
   m.witness_hits = witness_hits_.load(std::memory_order_relaxed);
   m.warm_resolves = warm_resolves_.load(std::memory_order_relaxed);
   m.cold_solves = cold_solves_.load(std::memory_order_relaxed);
+  m.lp_fallbacks = lp_fallbacks_.load(std::memory_order_relaxed);
   m.norm_evictions = norms_.Evictions();
   m.norm_hits = norms_.Hits();
   m.norm_misses = norms_.Misses();

@@ -1,7 +1,7 @@
 // CardinalityAdvisor: the paper's "future work" packaged as an API —
 // a pessimistic cardinality estimation service for query optimizers.
 //
-// Two caches make the hot path cheap enough for optimizer traffic:
+// Three caches make the hot path cheap enough for optimizer traffic:
 //   * statistics store — ℓp norms per (relation, conditional), computed
 //     lazily (O(N log N) per degree sequence, footnote 1) and reused across
 //     queries. The store is sharded by relation (estimator/norm_cache.h):
@@ -17,6 +17,25 @@
 //     estimate is a statistics lookup plus a dual-witness dot product; the
 //     LP is re-solved (warm, then cold) only when the cached basis stops
 //     being optimal.
+//   * estimate memo — each compiled structure remembers the last 8 value
+//     vectors it evaluated with their log2 bounds, most recently used
+//     first, compared bitwise. The values are the LP's only per-estimate
+//     input (the right-hand side of Eq. (36)), so (structure, values) is
+//     its entire input and the optimum is a pure function of the key: an
+//     entry can never be stale, and neither Invalidate nor any generation
+//     tracking touches the memo — a relation whose data changed simply
+//     produces new values, which miss. Without it, the one cached basis
+//     per structure bounces between the subqueries that share it and
+//     every exact repeat pays a witness check or a warm re-solve; on the
+//     plan-drift benchmark (perfbench/) 70% of optimizer probes repeat an
+//     exact input. There 8 slots kept 94% of the hits an unbounded memo
+//     got (81.5k vs 86.5k over one 396-plan run, at the same plans/s on a
+//     4-core x86 VM), for about 9 MB. EstimateLog2 and the multi-query
+//     EstimateLog2Batch read and fill it; Explain skips it (it needs
+//     weights and h*, which the memo does not keep), and so does the
+//     what-if overload (its values are made up by the caller and would
+//     only push out real ones). A result that fell back to the product
+//     bound (BoundResult::fallback) is never remembered.
 //
 // Batch evaluation: an optimizer probing a join-order search space asks
 // for thousands of what-if estimates against the same compiled structure.
@@ -32,8 +51,9 @@
 // no reader ever serializes against a writer burst. Compiling a new
 // structure copies the map under a writer mutex and swaps the snapshot.
 // Each compiled bound carries its own mutex because Evaluate mutates the
-// cached basis (a batch holds it for the whole block). Invalidate may run
-// concurrently with estimates.
+// cached basis (a batch holds it for the whole block); the estimate memo
+// lives under that same mutex. Invalidate may run concurrently with
+// estimates.
 #ifndef LPB_ESTIMATOR_ADVISOR_H_
 #define LPB_ESTIMATOR_ADVISOR_H_
 
@@ -70,8 +90,10 @@ struct AdvisorOptions {
   NormCacheOptions norm_cache;
 };
 
-// Cumulative counters. Every estimate falls into exactly one of
-// witness/warm/cold. Scalar estimates also split into exactly one of
+// Cumulative counters. Every estimate of a non-empty query falls into
+// exactly one of memo/witness/warm/cold: a memo hit is answered from the
+// estimate memo without touching the LP, the other three name how the LP
+// was evaluated. Scalar estimates also split into exactly one of
 // compiled hit/miss; a *batch* performs one compiled-cache lookup per
 // structure group, so under batching `estimates` can exceed
 // `compiled_hits + compiled_misses`.
@@ -81,9 +103,13 @@ struct AdvisorMetrics {
   uint64_t batch_probes = 0;     // probes requested across those batches
   uint64_t compiled_hits = 0;    // structure found in the compiled cache
   uint64_t compiled_misses = 0;  // structure compiled on this call
+  uint64_t memo_hits = 0;        // answered from the estimate memo
   uint64_t witness_hits = 0;     // cached dual witness reused (dot product)
   uint64_t warm_resolves = 0;    // dual-simplex pivots from the cached basis
   uint64_t cold_solves = 0;      // full LP solve
+  // LP failures answered with the product bound (BoundResult::fallback);
+  // each is also counted in the path its failed evaluation took.
+  uint64_t lp_fallbacks = 0;
   uint64_t norm_evictions = 0;   // statistics-store LRU evictions
   // Statistics-store traffic (estimator/norm_cache.h): lookup hits and
   // misses (a miss is an O(N log N) degree-sequence recompute) and
@@ -134,15 +160,19 @@ class CardinalityAdvisor {
   // Statistics assembly, the structure lookup, and the per-bound lock are
   // paid once; the values flow through the compiled bound's batch path
   // (bounds/bound_engine.h). Results are identical to overwriting the
-  // stats' log_b and estimating one vector at a time.
+  // stats' log_b and estimating one vector at a time. Bypasses the
+  // estimate memo.
   std::vector<double> EstimateLog2Batch(
       const Query& query, std::span<const std::vector<double>> log_b_batch);
 
   // Batched estimation over many queries (e.g. every candidate join
   // prefix of one search step). Queries sharing a statistics structure —
   // the norm in template workloads — are grouped and evaluated under one
-  // compiled-bound lock via the batch path. Returns log2 bounds aligned
-  // with `queries`.
+  // compiled-bound lock via the batch path; inputs the estimate memo holds
+  // (or that repeat within the group) skip the LP. Returns log2 bounds
+  // aligned with `queries`, equal to EstimateLog2 called on each query in
+  // order — bitwise wherever CompiledBound::EvaluateBatch matches its
+  // scalar sequence bitwise and no LP fails.
   std::vector<double> EstimateLog2Batch(const std::vector<Query>& queries);
   // Linear-space variant of the above (2^log2 per entry, saturating).
   std::vector<double> EstimateBatch(const std::vector<Query>& queries);
@@ -163,7 +193,9 @@ class CardinalityAdvisor {
   // Full result (certificate weights, optimal polymatroid) plus the
   // statistics it was computed from and a metrics snapshot taken after the
   // call — bound.eval_path says whether this particular estimate reused
-  // the cached witness, warm-resolved, or solved cold, and lp_backend
+  // the cached witness, warm-resolved, or solved cold (Explain always
+  // evaluates: it bypasses the estimate memo), bound.fallback whether the
+  // LP failed and the product bound answered, and lp_backend
   // names the LP solver backend ("dense" or "revised", lp/tableau.h;
   // selected via AdvisorOptions::engine.simplex.backend or
   // LPB_LP_BACKEND) that served it.
@@ -181,6 +213,8 @@ class CardinalityAdvisor {
   size_t CacheBytes() const;
   // Number of distinct compiled bound structures.
   size_t CompiledCacheSize() const;
+  // Number of estimates held by the estimate memos, over all structures.
+  size_t MemoSize() const;
 
   // Snapshot of the cumulative evaluation counters.
   AdvisorMetrics metrics() const;
@@ -188,17 +222,48 @@ class CardinalityAdvisor {
   // Drops cached statistics for one relation (call after updates). Only
   // that relation's shard is touched. Compiled bounds survive: they depend
   // only on structure, never on statistic values, so the next estimate
-  // re-reads fresh norms and re-prices the cached basis against them.
+  // re-reads fresh norms and re-prices the cached basis against them. The
+  // estimate memos survive too: fresh norms are a new key.
   void Invalidate(const std::string& relation);
 
  private:
+  // The estimate memo of one compiled structure (see the header comment):
+  // the last kCapacity value vectors evaluated, most recently used first.
+  class EstimateMemo {
+   public:
+    static constexpr size_t kCapacity = 8;
+    static constexpr size_t kSettled = SIZE_MAX;
+    struct Slot {
+      std::vector<double> values;
+      double log2_bound = 0.0;
+      // While a batch replays the memo: the index of the batch's miss
+      // whose evaluation will supply log2_bound; kSettled otherwise.
+      size_t pending = kSettled;
+    };
+    // The slot holding exactly `values` (bitwise), moved to the front;
+    // nullptr when there is none.
+    const Slot* Find(const std::vector<double>& values);
+    // Enters `values` at the front, dropping the least recently used slot
+    // when full.
+    Slot& Insert(std::vector<double> values);
+    // Fills every pending slot from `results` (indexed by miss); a slot
+    // whose result fell back is dropped instead.
+    void Settle(const std::vector<BoundResult>& results);
+    size_t size() const { return slots_.size(); }
+
+   private:
+    std::vector<Slot> slots_;
+  };
+
   // A compiled bound plus the mutex serializing Evaluate/EvaluateBatch on
-  // it (both mutate the cached basis and, for Γn, the cut set). A batch
-  // holds the mutex for its whole block — the locking contract callers
-  // rely on is per-*evaluation-sequence*, not per-call.
+  // it (both mutate the cached basis and, for Γn, the cut set) and guarding
+  // its estimate memo. A batch holds the mutex for its whole block — the
+  // locking contract callers rely on is per-*evaluation-sequence*, not
+  // per-call.
   struct CompiledEntry {
     std::mutex mu;
     std::unique_ptr<CompiledBound> bound;
+    EstimateMemo memo;
   };
 
   // Cached log2 norms for one degree sequence, aligned with options_.norms.
@@ -222,13 +287,8 @@ class CardinalityAdvisor {
   std::shared_ptr<CompiledEntry> LookupOrCompile(
       const BoundStructure& structure, const std::string& key);
 
-  // Looks up or compiles the bound for this statistics structure, then
-  // evaluates it at the statistics' values, updating metrics.
-  BoundResult EvaluateCompiled(int n,
-                               const std::vector<ConcreteStatistic>& stats,
-                               bool want_h_opt);
-
-  // Folds one evaluation's path and LP solver work into the counters.
+  // Counts one estimate the compiled bound evaluated: its path, whether it
+  // fell back, and the LP solver work behind it.
   void RecordEval(const BoundResult& result);
 
   const Catalog& catalog_;
@@ -249,9 +309,11 @@ class CardinalityAdvisor {
   std::atomic<uint64_t> batch_probes_{0};
   std::atomic<uint64_t> compiled_hits_{0};
   std::atomic<uint64_t> compiled_misses_{0};
+  std::atomic<uint64_t> memo_hits_{0};
   std::atomic<uint64_t> witness_hits_{0};
   std::atomic<uint64_t> warm_resolves_{0};
   std::atomic<uint64_t> cold_solves_{0};
+  std::atomic<uint64_t> lp_fallbacks_{0};
   std::atomic<uint64_t> lp_pivots_{0};
   std::atomic<uint64_t> lp_refactorizations_{0};
   std::atomic<uint64_t> lp_ft_updates_{0};

@@ -155,7 +155,8 @@ TEST(AdvisorConcurrent, EightThreadsBatchEstimatesStayExact) {
   EXPECT_EQ(mismatches.load(), 0u);
   const AdvisorMetrics m = advisor.metrics();
   EXPECT_EQ(m.estimates, served.load());
-  EXPECT_EQ(m.witness_hits + m.warm_resolves + m.cold_solves, m.estimates);
+  EXPECT_EQ(m.memo_hits + m.witness_hits + m.warm_resolves + m.cold_solves,
+            m.estimates);
   // All threads asked for the same handful of structures; the compiled
   // cache must not have ballooned past them.
   EXPECT_LE(advisor.CompiledCacheSize(), queries.size());

@@ -458,7 +458,8 @@ TEST(AdvisorBatch, MultiQueryBatchMatchesScalarLoop) {
   for (const char* text :
        {"R(X,Y), S(Y,Z)", "R(X,Y), S(Y,Z), T(Z,X)", "R(X,Y), R(Y,Z)",
         "S(X,Y), T(Y,Z)",  // same structure as the first: grouped
-        "R(X,Y), S(Y,Z)"}) {
+        "R(X,Y), S(Y,Z)",  // exact repeats inside that group: each is
+        "S(X,Y), T(Y,Z)"}) {  // evaluated once, then memo hits
     queries.push_back(Parse(text));
   }
   CardinalityAdvisor scalar_advisor(db);
@@ -474,6 +475,8 @@ TEST(AdvisorBatch, MultiQueryBatchMatchesScalarLoop) {
   }
   const AdvisorMetrics m = batch_advisor.metrics();
   EXPECT_EQ(m.estimates, queries.size());
+  EXPECT_EQ(m.memo_hits, 2u);
+  EXPECT_EQ(scalar_advisor.metrics().memo_hits, 2u);
   // Queries sharing a structure were grouped: fewer lookups than
   // estimates.
   EXPECT_LT(m.compiled_hits + m.compiled_misses, m.estimates);

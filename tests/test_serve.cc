@@ -350,7 +350,9 @@ TEST(AdvisorService, SixteenClientStressWithInvalidationChurn) {
   EXPECT_LE(m.evaluated, want);
   const AdvisorMetrics am = advisor.metrics();
   EXPECT_EQ(am.estimates, m.evaluated);
-  EXPECT_EQ(am.witness_hits + am.warm_resolves + am.cold_solves, m.evaluated);
+  EXPECT_EQ(am.memo_hits + am.witness_hits + am.warm_resolves +
+                am.cold_solves,
+            m.evaluated);
   EXPECT_EQ(am.norm_hits + am.norm_misses > 0, true);
 }
 
