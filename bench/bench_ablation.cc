@@ -1,4 +1,4 @@
-// Ablation study (design-choice analysis from DESIGN.md): how does the
+// Ablation study (a design-choice analysis): how does the
 // bound degrade as the available norm set shrinks? Mirrors the paper's
 // observation that the JOB optima draw on norms from all over {1..30, ∞}
 // and that dropping ℓ2 from the triangle statistics costs 1.3-4.7x

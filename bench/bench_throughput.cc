@@ -59,9 +59,11 @@
 // pivot-count regression >15%, devex needing more than
 // --max-devex-ratio of the cold dantzig lane's pivots, warm appends
 // needing more than --max-warm-cold-ratio of the cold-growth pivots, a
-// gamma_n10 compile over the wall-clock ceiling, or the revised cut
-// batch under --min-cut-batch-ratio of its scalar rate; raw est/s is
-// informational (machine-dependent) unless --strict-absolute.
+// gamma_n10 compile over the wall-clock ceiling, the revised cut batch's
+// median paired-round ratio under --min-cut-batch-ratio of its scalar
+// rate, or an optimizer lane's Nn LP column count more than 5% above
+// baseline; raw est/s is informational (machine-dependent) unless
+// --strict-absolute.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -73,8 +75,10 @@
 #include <future>
 #include <iterator>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -432,11 +436,27 @@ GammaRun MeasureGammaPivots(PricingRule rule, const char* label, int n,
 
 struct CutBatchRun {
   const char* backend;
-  double scalar_per_s = 0.0;
-  double batch_per_s = 0.0;
+  double scalar_per_s = 0.0;  // over every scalar round
+  double batch_per_s = 0.0;   // over every batch round
+  double ratio = 0.0;         // median batch/scalar ratio of the rounds
   int batch_size = kBatchSize;
-  int repeats = 0;
+  int rounds = 0;
 };
+
+// One timed round of `sweep`: at least one call, and as many as fit in
+// `seconds`. Returns {calls, elapsed seconds}.
+template <typename Sweep>
+std::pair<int, double> TimedRound(double seconds, Sweep&& sweep) {
+  int calls = 0;
+  double secs = 0.0;
+  const auto t0 = std::chrono::steady_clock::now();
+  do {
+    sweep();
+    ++calls;
+    secs = Seconds(t0);
+  } while (secs < seconds);
+  return {calls, secs};
+}
 
 CutBatchRun MeasureCutBatch(LpBackendKind backend) {
   const int n = 7;
@@ -474,33 +494,52 @@ CutBatchRun MeasureCutBatch(LpBackendKind backend) {
   }
   benchmark::DoNotOptimize(batch_bound->EvaluateBatch(batch, false).data());
 
-  CutBatchRun run;
-  run.backend = LpBackendName(backend);
-  run.batch_size = kCutBlock;
-  int sweeps = 0;
-  double secs = 0.0;
-  auto t0 = std::chrono::steady_clock::now();
-  do {
+  const auto scalar_sweep = [&] {
     for (const std::vector<double>& values : batch) {
       benchmark::DoNotOptimize(
           scalar_bound->Evaluate(values, false).log2_bound);
     }
-    ++sweeps;
-    secs = Seconds(t0);
-  } while (secs < kMinMeasureSeconds);
-  run.scalar_per_s = static_cast<double>(sweeps) * kCutBlock / secs;
-
-  sweeps = 0;
-  t0 = std::chrono::steady_clock::now();
-  do {
+  };
+  const auto batch_sweep = [&] {
     const std::vector<BoundResult> results =
         batch_bound->EvaluateBatch(batch, false);
     benchmark::DoNotOptimize(results.data());
-    ++sweeps;
-    secs = Seconds(t0);
-  } while (secs < kMinMeasureSeconds);
-  run.batch_per_s = static_cast<double>(sweeps) * kCutBlock / secs;
-  run.repeats = sweeps;
+  };
+
+  // Short scalar and batch rounds alternate, and the gate reads the median
+  // of the per-pair ratios: host-speed drift between two long windows
+  // taken one after the other moved a single ratio by ±12%, while a pair
+  // of adjacent short rounds sees the same host. The order within a pair
+  // flips every round so a steady drift cancels too.
+  constexpr int kRounds = 10;
+  // Each side totals kMinMeasureSeconds, as one long window did.
+  const double round_seconds = kMinMeasureSeconds / kRounds;
+  CutBatchRun run;
+  run.backend = LpBackendName(backend);
+  run.batch_size = kCutBlock;
+  run.rounds = kRounds;
+  std::vector<double> ratios;
+  double scalar_sweeps = 0, scalar_secs = 0, batch_sweeps = 0, batch_secs = 0;
+  for (int r = 0; r < kRounds; ++r) {
+    std::pair<int, double> scalar, batched;
+    if (r % 2 == 0) {
+      scalar = TimedRound(round_seconds, scalar_sweep);
+      batched = TimedRound(round_seconds, batch_sweep);
+    } else {
+      batched = TimedRound(round_seconds, batch_sweep);
+      scalar = TimedRound(round_seconds, scalar_sweep);
+    }
+    scalar_sweeps += scalar.first;
+    scalar_secs += scalar.second;
+    batch_sweeps += batched.first;
+    batch_secs += batched.second;
+    ratios.push_back((batched.first / batched.second) /
+                     (scalar.first / scalar.second));
+  }
+  std::sort(ratios.begin(), ratios.end());
+  run.ratio = (ratios[kRounds / 2 - 1] + ratios[kRounds / 2]) / 2;
+  run.scalar_per_s = scalar_sweeps * kCutBlock / scalar_secs;
+  run.batch_per_s = batch_sweeps * kCutBlock / batch_secs;
   return run;
 }
 
@@ -667,7 +706,47 @@ struct OptimizerRun {
   uint64_t advisor_batch_calls = 0;
   uint64_t advisor_batch_probes = 0;
   uint64_t memo = 0, witness = 0, warm = 0, cold = 0;
+  // The Nn LPs behind one sweep's probes (bound lanes only): distinct
+  // structures and their summed structural columns after the
+  // dominated-column presolve — deterministic, shapes only.
+  uint64_t nn_structures = 0;
+  uint64_t nn_columns = 0;
 };
+
+// Forwards to a model and keeps every probe it was asked to price.
+class RecordingModel : public CardinalityModel {
+ public:
+  explicit RecordingModel(CardinalityModel& inner) : inner_(inner) {}
+  std::vector<double> EstimateLog2Batch(
+      const std::vector<Query>& probes) override {
+    probes_.insert(probes_.end(), probes.begin(), probes.end());
+    return inner_.EstimateLog2Batch(probes);
+  }
+  const std::vector<Query>& probes() const { return probes_; }
+
+ private:
+  CardinalityModel& inner_;
+  std::vector<Query> probes_;
+};
+
+// Counts the distinct simple structures behind `probes` and the columns of
+// their Nn LPs, built from the advisor's own statistics assembly.
+void CountNormalLpColumns(CardinalityAdvisor& advisor,
+                          const std::vector<Query>& probes, OptimizerRun& run) {
+  const std::vector<std::vector<ConcreteStatistic>> stats =
+      advisor.AssembleStatisticsBatch(probes);
+  std::set<std::string> seen;
+  for (size_t i = 0; i < probes.size(); ++i) {
+    const BoundStructure structure = StructureOf(probes[i].num_vars(), stats[i]);
+    if (!structure.AllShapesSimple() ||
+        !seen.insert(StructureKey(structure)).second) {
+      continue;
+    }
+    ++run.nn_structures;
+    run.nn_columns += static_cast<uint64_t>(
+        BuildNormalBoundLp(probes[i].num_vars(), stats[i]).num_vars());
+  }
+}
 
 OptimizerRun MeasureOptimizer(bool bound_model, LpBackendKind backend,
                               const char* model_label, int repeats) {
@@ -693,9 +772,10 @@ OptimizerRun MeasureOptimizer(bool bound_model, LpBackendKind backend,
 
   // One untimed sweep: warms the advisor's compiled-bound caches (the
   // deployment scenario — templates repeat) and collects the
-  // deterministic enumeration counters.
+  // deterministic enumeration counters and the probes they priced.
+  RecordingModel recorder(model);
   for (const Query& q : wl.queries) {
-    JoinOrderOptimizer dp(q, model, jopt);
+    JoinOrderOptimizer dp(q, recorder, jopt);
     dp.Optimize();
     const OptimizerStats& s = dp.stats();
     run.probes += s.probes;
@@ -709,6 +789,8 @@ OptimizerRun MeasureOptimizer(bool bound_model, LpBackendKind backend,
       run.probes_per_level[k] += s.probes_per_level[k];
     }
   }
+
+  if (bound_model) CountNormalLpColumns(advisor, recorder.probes(), run);
 
   const AdvisorMetrics before = advisor.metrics();
   int sweeps = 0;
@@ -1023,9 +1105,10 @@ void PrintTable() {
   std::printf("\n== Cutting-plane batch vs scalar sequence, n = 7 ==\n");
   for (const CutBatchRun& run : cut_batch_runs) {
     std::printf(
-        "%-28s scalar %10.0f est/s   batch-of-%d %10.0f est/s   (%.2fx)\n",
+        "%-28s scalar %10.0f est/s   batch-of-%d %10.0f est/s   "
+        "(median of %d paired rounds %.2fx)\n",
         run.backend, run.scalar_per_s, run.batch_size, run.batch_per_s,
-        run.batch_per_s / run.scalar_per_s);
+        run.rounds, run.ratio);
   }
   std::printf("\n== Advisor serving, admission batching ==\n");
   for (const ServeRun& run : serve_runs) {
@@ -1070,6 +1153,9 @@ void PrintTable() {
           static_cast<unsigned long long>(run.witness),
           static_cast<unsigned long long>(run.warm),
           static_cast<unsigned long long>(run.cold));
+      std::printf("%-12s %-8s Nn LPs: structures=%llu columns=%llu\n", "", "",
+                  static_cast<unsigned long long>(run.nn_structures),
+                  static_cast<unsigned long long>(run.nn_columns));
     }
   }
   std::printf(
@@ -1143,9 +1229,9 @@ void PrintTable() {
         std::fprintf(f,
                      "    {\"backend\": \"%s\", \"scalar_est_per_s\": %.1f, "
                      "\"batch_est_per_s\": %.1f, \"batch_size\": %d, "
-                     "\"ratio\": %.2f}%s\n",
+                     "\"rounds\": %d, \"ratio\": %.2f}%s\n",
                      run.backend, run.scalar_per_s, run.batch_per_s,
-                     run.batch_size, run.batch_per_s / run.scalar_per_s,
+                     run.batch_size, run.rounds, run.ratio,
                      i + 1 < cut_batch_runs.size() ? "," : "");
       }
       std::fprintf(f, "  ],\n  \"serve\": [\n");
@@ -1197,6 +1283,7 @@ void PrintTable() {
             "     \"advisor_batch_calls\": %llu, "
             "\"advisor_batch_probes\": %llu, \"memo_hits\": %llu, "
             "\"witness\": %llu, \"warm\": %llu, \"cold\": %llu,\n"
+            "     \"nn_structures\": %llu, \"nn_columns\": %llu,\n"
             "     \"probes_per_level\": [",
             run.model, run.backend, run.plans_per_s, run.repeats, run.queries,
             static_cast<unsigned long long>(run.probes),
@@ -1208,7 +1295,9 @@ void PrintTable() {
             static_cast<unsigned long long>(run.memo),
             static_cast<unsigned long long>(run.witness),
             static_cast<unsigned long long>(run.warm),
-            static_cast<unsigned long long>(run.cold));
+            static_cast<unsigned long long>(run.cold),
+            static_cast<unsigned long long>(run.nn_structures),
+            static_cast<unsigned long long>(run.nn_columns));
         for (size_t k = 0; k < run.probes_per_level.size(); ++k) {
           std::fprintf(f, "%s%llu", k ? ", " : "",
                        static_cast<unsigned long long>(

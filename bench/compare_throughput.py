@@ -25,10 +25,12 @@ Fails (exit 1) when
     wholesale fallback to cold re-solves even on a slow runner), or
   * the revised backend's cutting-plane batch regime (gamma_cut_batch)
     serves fewer than --min-cut-batch-ratio times its own scalar
-    evaluate-sequence rate — both rates come from the same process, so
-    the ratio is machine-independent; the dense backend's ratio is
-    printed for visibility only (its batch path is the row-reuse
-    fallback, not the shared-pool resolve), or
+    evaluate-sequence rate — the gated "ratio" is the median over short
+    scalar and batch rounds that alternate in one process, so neither
+    runner speed nor host-speed drift between two long windows moves
+    it; the dense backend's ratio is printed for visibility only (its
+    batch path is the row-reuse fallback, not the shared-pool resolve),
+    or
   * a serve lane (the AdvisorService admission-batching regime: 16
     client threads x pipelined single estimates with invalidation churn)
     aggregates fewer than --min-serve-speedup times the same-process
@@ -71,6 +73,12 @@ Fails (exit 1) when
     baseline when the workload or DP legitimately changes). A bound lane
     whose advisor_batch_calls differs from its own batch_calls fails the
     same check from the advisor's side, or
+  * a bound optimizer lane's nn_columns — the summed structural columns
+    of the Nn LPs behind one sweep's probes, after the dominated-column
+    presolve (bounds/normal_engine.h) — grows more than
+    NN_COLUMNS_TOLERANCE (5%) above baseline. It depends only on statistic
+    shapes, so it is deterministic: growth means the presolve keeps
+    columns it used to drop, or
   * the executed plan-quality sums regress: the bound-driven DP's summed
     peak intermediate (optimizer_plan_quality.bound_peak_sum) must not
     exceed the traditional-model DP's or the greedy baseline's on the
@@ -108,6 +116,9 @@ legitimately shifts throughput or pivot counts.
 import argparse
 import json
 import sys
+
+# Allowed fractional growth of a bound optimizer lane's Nn LP column count.
+NN_COLUMNS_TOLERANCE = 0.05
 
 
 def by_backend(runs):
@@ -408,6 +419,19 @@ def main():
                 failures.append(
                     f"{label}: {metric} grew {base_v} -> {new_v} "
                     f"(deterministic count — batching discipline broke?)")
+        if "nn_columns" in base_run:
+            base_v, new_v = base_run["nn_columns"], new_run.get("nn_columns")
+            if new_v is None:
+                failures.append(f"{label}: nn_columns missing from new JSON")
+            else:
+                ratio = new_v / base_v if base_v else float("inf")
+                print(f"{label + ' nn_columns':<34} {base_v:>12} "
+                      f"{new_v:>12} {ratio:>7.2f}x")
+                if new_v > (1.0 + NN_COLUMNS_TOLERANCE) * base_v:
+                    failures.append(
+                        f"{label}: Nn LP columns grew {base_v} -> {new_v} "
+                        f"(>{NN_COLUMNS_TOLERANCE:.0%} — the "
+                        f"dominated-column presolve keeps more columns?)")
         plans = new_run.get("plans_per_s", 0.0)
         base_plans = base_run.get("plans_per_s", 0.0)
         tag = "" if args.strict_absolute else " (info)"
@@ -450,14 +474,14 @@ def main():
                     f"exceeds {rival} {rival_sum} on the JOB scoring set")
 
     # Cutting-plane batch regime: the shared-pool multi-RHS resolve must
-    # beat the scalar evaluate sequence on the revised backend. Both rates
-    # are measured in the same process, so the ratio travels across
-    # runners. Dense is informational: its batch path is the row-reuse
-    # fallback, and the shared pool only helps it amortize separation.
+    # beat the scalar evaluate sequence on the revised backend. The ratio
+    # is the median of alternating short scalar/batch rounds in one
+    # process, so it travels across runners and ignores host-speed drift.
+    # Dense is informational: its batch path is the row-reuse fallback,
+    # and the shared pool only helps it amortize separation.
     for run in new.get("gamma_cut_batch", []):
         backend = run["backend"]
-        ratio = (run["batch_est_per_s"] / run["scalar_est_per_s"]
-                 if run["scalar_est_per_s"] > 0 else float("inf"))
+        ratio = run["ratio"]
         gated = backend == "revised"
         tag = "" if gated else " (info)"
         print(f"{'cut batch/scalar ' + backend + tag:<34} "

@@ -549,14 +549,16 @@ class GammaEngine : public BoundEngine {
 
 // ---------------------------------------------------------------------------
 // Nn engine: exact for simple shapes (Theorem 6.1) with a far smaller LP —
-// only the statistics are rows, so witness re-pricing is O(stats²).
+// only the statistics are rows and only the non-dominated step functions
+// are columns (normal_engine.h), so witness re-pricing is O(stats²) and a
+// warm pivot sweeps a few dozen columns rather than 2^n − 1.
 
 class CompiledNormalBound : public CompiledBound {
  public:
   CompiledNormalBound(BoundStructure structure, const EngineOptions& options)
-      : CompiledBound(std::move(structure)),
-        tableau_(BuildNormalBoundLp(structure_.n, PlaceholderStats()),
-                 options.simplex) {}
+      : CompiledNormalBound(
+            BuildNormalBoundLp(structure.n, PlaceholderStats(structure)),
+            std::move(structure), options) {}
 
  protected:
   BoundResult EvaluateImpl(const std::vector<double>& log_b,
@@ -606,19 +608,27 @@ class CompiledNormalBound : public CompiledBound {
     result.log2_bound = lp.objective;
     result.weights = lp.duals;
     if (want_h_opt) {
-      const int num_vars = static_cast<int>(FullSet(structure_.n));
-      std::vector<double> alpha(num_vars + 1, 0.0);
-      for (int w = 0; w < num_vars; ++w) alpha[w + 1] = lp.x[w];
-      result.h_opt = SetFunction::NormalCombination(structure_.n, alpha);
+      result.h_opt = SetFunction::NormalCombination(
+          structure_.n, NormalAlpha(structure_.n, columns_, lp.x));
     }
     return result;
   }
+
+  // Takes both by reference so the public constructor may build `lp` from
+  // `structure` before the structure is moved into the base.
+  CompiledNormalBound(NormalBoundLp&& lp, BoundStructure&& structure,
+                      const EngineOptions& options)
+      : CompiledBound(std::move(structure)),
+        columns_(std::move(lp.columns)),
+        tableau_(lp.lp, options.simplex) {}
+
   // Shape-only statistics (log_b = 0) for the matrix builder; the real
   // values arrive per evaluation as the RHS vector.
-  std::vector<ConcreteStatistic> PlaceholderStats() const {
+  static std::vector<ConcreteStatistic> PlaceholderStats(
+      const BoundStructure& structure) {
     std::vector<ConcreteStatistic> stats;
-    stats.reserve(structure_.shapes.size());
-    for (const StatisticShape& shape : structure_.shapes) {
+    stats.reserve(structure.shapes.size());
+    for (const StatisticShape& shape : structure.shapes) {
       ConcreteStatistic stat;
       stat.sigma = shape.sigma;
       stat.p = shape.p;
@@ -627,6 +637,7 @@ class CompiledNormalBound : public CompiledBound {
     return stats;
   }
 
+  std::vector<VarSet> columns_;  // the W of each LP column
   SimplexTableau tableau_;
   bool structurally_unbounded_ = false;
   BatchScratch batch_scratch_;

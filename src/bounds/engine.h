@@ -3,11 +3,12 @@
 // Computes Log-L-Bound_Γn(Σ, b) = max { h(X) : h ∈ Γn, h |= (Σ, b) }
 // (Eq. (36)), which by Theorem 5.2 equals Log-U-Bound_Γn — the best upper
 // bound on log2 |Q(D)| derivable from Shannon inequalities and the given
-// ℓp-norm statistics (Theorem 1.1). The LP has one variable per nonempty
-// subset of query variables; Shannon constraints are either fully
-// materialized (small n) or generated lazily by a cutting-plane loop that
-// adds the most violated elemental inequalities until the optimum is
-// Shannon-feasible.
+// ℓp-norm statistics (Theorem 1.1). The Γn LP has one variable h(S) per
+// nonempty subset S of query variables; Shannon constraints are either
+// fully materialized (small n) or generated lazily by a cutting-plane loop
+// that adds the most violated elemental inequalities until the optimum is
+// Shannon-feasible. (The Nn LP of normal_engine.h instead has one column
+// per non-dominated step function h_W — a few dozen, not 2^n − 1.)
 //
 // == Compile/evaluate architecture ==
 //

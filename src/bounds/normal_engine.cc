@@ -1,38 +1,98 @@
 #include "bounds/normal_engine.h"
 
+#include <algorithm>
 #include <cassert>
+#include <utility>
 
-#include "lp/lp_problem.h"
 #include "lp/simplex.h"
 #include "relation/degree_sequence.h"
 
 namespace lpb {
+namespace {
 
-LpProblem BuildNormalBoundLp(int n,
-                             const std::vector<ConcreteStatistic>& stats) {
-  const VarSet full = FullSet(n);
-  const int num_vars = static_cast<int>(full);  // α_W for W = 1 .. full
-
-  // maximize Σ_W α_W  (h_W(X) = 1 for every nonempty W)
-  LpProblem lp(num_vars);
-  for (int w = 0; w < num_vars; ++w) lp.SetObjective(w, 1.0);
-
-  // Per statistic: Σ_W α_W · [ (1/p)·1{W∩U≠∅} + 1{W∩V≠∅ ∧ W∩U=∅} ] <= log_b.
-  for (const ConcreteStatistic& stat : stats) {
-    const double inv_p = (stat.p >= kInfNorm / 2) ? 0.0 : 1.0 / stat.p;
-    std::vector<LpTerm> terms;
-    for (VarSet w = 1; w <= full; ++w) {
-      double coef = 0.0;
-      if (Intersects(w, stat.sigma.u)) {
-        coef += inv_p;
-      } else if (Intersects(w, stat.sigma.v)) {
-        coef += 1.0;
-      }
-      if (coef != 0.0) terms.push_back({static_cast<int>(w) - 1, coef});
+// Row coefficients of column W: (1/p)·1{W∩U≠∅} + 1{W∩V≠∅ ∧ W∩U=∅} per
+// statistic, written into `coefs`; returns their sum.
+double ColumnCoefficients(VarSet w, const std::vector<ConcreteStatistic>& stats,
+                          const std::vector<double>& inv_p,
+                          std::vector<double>& coefs) {
+  double sum = 0.0;
+  for (size_t i = 0; i < stats.size(); ++i) {
+    double coef = 0.0;
+    if (Intersects(w, stats[i].sigma.u)) {
+      coef = inv_p[i];
+    } else if (Intersects(w, stats[i].sigma.v)) {
+      coef = 1.0;
     }
-    lp.AddConstraint(std::move(terms), LpSense::kLe, stat.log_b);
+    coefs[i] = coef;
+    sum += coef;
   }
-  return lp;
+  return sum;
+}
+
+}  // namespace
+
+NormalBoundLp BuildNormalBoundLp(int n,
+                                 const std::vector<ConcreteStatistic>& stats) {
+  const VarSet full = FullSet(n);
+  const size_t rows = stats.size();
+  std::vector<double> inv_p(rows);
+  for (size_t i = 0; i < rows; ++i) {
+    inv_p[i] = (stats[i].p >= kInfNorm / 2) ? 0.0 : 1.0 / stats[i].p;
+  }
+
+  // Scan order: ascending coefficient sum, ties by W. A column's
+  // dominators have sums no larger than its own (float addition is
+  // monotone), so they are scanned first.
+  std::vector<double> coefs(rows);
+  std::vector<std::pair<double, VarSet>> order;
+  order.reserve(full);
+  for (VarSet w = 1; w <= full; ++w) {
+    order.emplace_back(ColumnCoefficients(w, stats, inv_p, coefs), w);
+  }
+  std::sort(order.begin(), order.end());
+
+  // Keep a column unless an already-kept one is <= it in every row.
+  // Dominance is transitive, so the kept list is the only comparison set.
+  std::vector<VarSet> columns;
+  std::vector<double> kept;  // row-major: kept column k at [k * rows, ...)
+  for (const auto& [sum, w] : order) {
+    ColumnCoefficients(w, stats, inv_p, coefs);
+    bool dominated = false;
+    for (size_t k = 0; k < columns.size() && !dominated; ++k) {
+      const double* other = kept.data() + k * rows;
+      dominated = std::equal(other, other + rows, coefs.begin(),
+                             [](double a, double b) { return a <= b; });
+    }
+    if (dominated) continue;
+    columns.push_back(w);
+    kept.insert(kept.end(), coefs.begin(), coefs.end());
+  }
+
+  // Emit the kept columns in ascending W, the full LP's column order, so
+  // the solvers' index tie-breaks meet them in the order they always did.
+  std::sort(columns.begin(), columns.end());
+  const int num_vars = static_cast<int>(columns.size());
+  // maximize Σ_W α_W  (h_W(X) = 1 for every nonempty W)
+  NormalBoundLp out{LpProblem(num_vars), std::move(columns)};
+  std::vector<std::vector<LpTerm>> terms(rows);
+  for (int j = 0; j < num_vars; ++j) {
+    out.lp.SetObjective(j, 1.0);
+    ColumnCoefficients(out.columns[j], stats, inv_p, coefs);
+    for (size_t i = 0; i < rows; ++i) {
+      if (coefs[i] != 0.0) terms[i].push_back({j, coefs[i]});
+    }
+  }
+  for (size_t i = 0; i < rows; ++i) {
+    out.lp.AddConstraint(std::move(terms[i]), LpSense::kLe, stats[i].log_b);
+  }
+  return out;
+}
+
+std::vector<double> NormalAlpha(int n, const std::vector<VarSet>& columns,
+                                const std::vector<double>& x) {
+  std::vector<double> alpha(size_t{1} << n, 0.0);
+  for (size_t j = 0; j < columns.size(); ++j) alpha[columns[j]] = x[j];
+  return alpha;
 }
 
 NormalBoundResult NormalPolymatroidBound(
@@ -40,10 +100,9 @@ NormalBoundResult NormalPolymatroidBound(
     const SimplexOptions& simplex) {
   assert(n >= 1 && n <= kMaxVars);
   if (require_simple) assert(AllSimple(stats));
-  const VarSet full = FullSet(n);
-  const int num_vars = static_cast<int>(full);  // α_W for W = 1 .. full
 
-  LpResult lp_result = SolveLp(BuildNormalBoundLp(n, stats), simplex);
+  const NormalBoundLp lp = BuildNormalBoundLp(n, stats);
+  LpResult lp_result = SolveLp(lp.lp, simplex);
   NormalBoundResult result;
   result.base.status = lp_result.status;
   result.base.lp_iterations = lp_result.iterations;
@@ -58,8 +117,7 @@ NormalBoundResult NormalPolymatroidBound(
 
   result.base.log2_bound = lp_result.objective;
   result.base.weights = lp_result.duals;
-  result.alpha.assign(num_vars + 1, 0.0);
-  for (int w = 0; w < num_vars; ++w) result.alpha[w + 1] = lp_result.x[w];
+  result.alpha = NormalAlpha(n, lp.columns, lp_result.x);
   result.base.h_opt = SetFunction::NormalCombination(n, result.alpha);
   return result;
 }

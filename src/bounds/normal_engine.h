@@ -1,13 +1,24 @@
 // The normal-polymatroid bound engine (Sec 6 / Theorem 6.1).
 //
 // Optimizes h(X) over Nn, the cone of normal polymatroids h = Σ_W α_W h_W
-// with α_W >= 0. The LP has one variable per nonempty W ⊆ X and only the
-// statistics as constraints (every nonnegative combination of step
-// functions is automatically a polymatroid), so it is dramatically smaller
-// than the Γn LP. By Theorem 6.1 the optimum EQUALS the polymatroid bound
-// whenever all statistics are simple (|U| <= 1) — the common case in
-// practice (per-join-column degree sequences) — and the optimal α* feeds
-// the worst-case database construction of Lemma 6.2.
+// with α_W >= 0 over nonempty W ⊆ X. The LP has one column per step
+// function h_W that survives a dominated-column presolve and only the
+// statistics as rows (every nonnegative combination of step functions is
+// automatically a polymatroid), so it is dramatically smaller than the Γn
+// LP. By Theorem 6.1 the optimum EQUALS the polymatroid bound whenever all
+// statistics are simple (|U| <= 1) — the common case in practice
+// (per-join-column degree sequences) — and the optimal α* feeds the
+// worst-case database construction of Lemma 6.2.
+//
+// Presolve: every column has objective 1 and nonnegative coefficients, so
+// a column W that is >= some other column W' in every row is never needed:
+// moving α_W onto α_W' keeps the objective and loosens every row. Only the
+// non-dominated columns are built (on the 3,838 structures of the JOB
+// plan-drift sweep: 25 of 255 at n = 8, 34 of 1,023 at n = 10). The
+// reduced LP's optimal duals y >= 0 still certify inequality (8) for
+// every W: y·a_W >= y·a_W' >= 1. An all-zero column (a W no statistic
+// touches) dominates every other column, so it alone survives and the LP
+// stays unbounded exactly when the full one is.
 //
 // CAUTION: for non-simple statistics Nn ⊊ Γn makes this a lower bound on
 // the polymatroid bound, NOT a valid output-size bound; callers must check
@@ -18,14 +29,16 @@
 #include <vector>
 
 #include "bounds/engine.h"
+#include "lp/lp_problem.h"
 #include "stats/statistic.h"
+#include "util/bits.h"
 
 namespace lpb {
 
 struct NormalBoundResult {
   BoundResult base;
   // Optimal step-function coefficients α*_W, indexed by VarSet (entry 0
-  // unused). h_opt == Σ_W alpha[W] · h_W.
+  // unused; 0 at every W the presolve dropped). h_opt == Σ_W alpha[W] · h_W.
   std::vector<double> alpha;
 };
 
@@ -36,13 +49,28 @@ NormalBoundResult NormalPolymatroidBound(
     int n, const std::vector<ConcreteStatistic>& stats,
     bool require_simple = true, const SimplexOptions& simplex = {});
 
-// Builds the Nn LP: maximize Σ_W α_W over α >= 0 with one <= row per
-// statistic (rhs = stat.log_b), in statistics order. The matrix depends
-// only on the statistic *shapes* (σ, p), never on the values — the
-// compiled-bound pipeline (bounds/bound_engine.h) builds it once per
-// structure and re-solves per log_b vector.
-LpProblem BuildNormalBoundLp(int n,
-                             const std::vector<ConcreteStatistic>& stats);
+// The Nn LP: maximize Σ_W α_W over α >= 0 with one <= row per statistic
+// (rhs = stat.log_b), in statistics order, and one column per
+// non-dominated W (see the presolve note above). `columns[j]` is the W
+// that LP variable j stands for, in ascending W.
+struct NormalBoundLp {
+  LpProblem lp;
+  std::vector<VarSet> columns;
+
+  int num_vars() const { return lp.num_vars(); }
+};
+
+// Builds the Nn LP. The matrix depends only on the statistic *shapes*
+// (σ, p), never on the values — the compiled-bound pipeline
+// (bounds/bound_engine.h) builds it once per structure and re-solves per
+// log_b vector.
+NormalBoundLp BuildNormalBoundLp(int n,
+                                 const std::vector<ConcreteStatistic>& stats);
+
+// Maps an optimal x of a BuildNormalBoundLp LP back to α, indexed by VarSet
+// (size 2^n, entry 0 unused): alpha[columns[j]] = x[j], every dropped W 0.
+std::vector<double> NormalAlpha(int n, const std::vector<VarSet>& columns,
+                                const std::vector<double>& x);
 
 // Convenience dispatcher: uses the normal engine when all statistics are
 // simple (valid and fast, Theorem 6.1), otherwise the Γn cutting-plane

@@ -1,6 +1,6 @@
 // Synthetic graph generation with heavy-tailed (power-law) degree
-// distributions — the stand-in for the SNAP datasets of Appendix C.1
-// (see DESIGN.md, "Substitutions").
+// distributions — the stand-in for the SNAP datasets of Appendix C.1,
+// which are not bundled with the repository.
 #ifndef LPB_DATAGEN_GRAPH_GEN_H_
 #define LPB_DATAGEN_GRAPH_GEN_H_
 

@@ -1,6 +1,6 @@
 // Synthetic JOB-style workload (the stand-in for IMDB + the Join Order
-// Benchmark used in Appendix C.2 / Figure 1 — see DESIGN.md,
-// "Substitutions").
+// Benchmark used in Appendix C.2 / Figure 1, neither of which is bundled
+// with the repository).
 //
 // A scaled-down IMDB-like snowflake: a `title` hub, fact tables
 // (cast_info, movie_companies, movie_keyword, movie_info, movie_info_idx,

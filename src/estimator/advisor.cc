@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <utility>
 
 #include "bounds/normal_engine.h"
@@ -86,6 +87,9 @@ void AppendStats(const StatRequest& request,
   }
 }
 
+// More variables than a VarSet holds: no statistic or bound can be built.
+bool TooWide(const Query& query) { return query.num_vars() > kMaxVars; }
+
 }  // namespace
 
 const CardinalityAdvisor::EstimateMemo::Slot*
@@ -131,10 +135,28 @@ CardinalityAdvisor::CardinalityAdvisor(const Catalog& catalog,
       norms_(options_.norm_cache),
       compiled_(std::make_shared<const CompiledMap>()) {}
 
-std::vector<double> CardinalityAdvisor::CachedNorms(
-    const std::string& relation, const std::vector<int>& u_cols,
-    const std::vector<int>& v_cols) {
-  ShardedNormCache::Key key{relation, u_cols, v_cols};
+std::optional<std::vector<double>> CardinalityAdvisor::ComputeNorms(
+    const ShardedNormCache::Key& key) const {
+  // Validated here, on the miss path only: a key the store holds was
+  // computed from a relation that had these columns, so hits never pay
+  // for the catalog lookup.
+  const auto& [relation, u_cols, v_cols] = key;
+  const Relation* rel = catalog_.Find(relation);
+  if (rel == nullptr) return std::nullopt;
+  for (const std::vector<int>* cols : {&u_cols, &v_cols}) {
+    for (int c : *cols) {
+      if (c < 0 || c >= rel->arity()) return std::nullopt;
+    }
+  }
+  const DegreeSequence deg = ComputeDegreeSequence(*rel, u_cols, v_cols);
+  std::vector<double> norms;
+  norms.reserve(options_.norms.size());
+  for (double p : options_.norms) norms.push_back(deg.Log2NormP(p));
+  return norms;
+}
+
+std::optional<std::vector<double>> CardinalityAdvisor::CachedNorms(
+    const ShardedNormCache::Key& key) {
   ShardedNormCache::Lookup lookup = norms_.Get(key);
   if (lookup.found) return std::move(lookup.norms);
   // Compute outside the shard lock: degree-sequence extraction is
@@ -143,29 +165,31 @@ std::vector<double> CardinalityAdvisor::CachedNorms(
   // last-write-wins is harmless. Put refuses the insert if an Invalidate
   // ran meanwhile (the norms may reflect pre-update data — serve them for
   // this call but do not cache).
-  const DegreeSequence deg =
-      ComputeDegreeSequence(catalog_.Get(relation), u_cols, v_cols);
-  std::vector<double> norms;
-  norms.reserve(options_.norms.size());
-  for (double p : options_.norms) norms.push_back(deg.Log2NormP(p));
-  norms_.Put(key, norms, lookup.generation);
+  std::optional<std::vector<double>> norms = ComputeNorms(key);
+  if (norms) norms_.Put(key, *norms, lookup.generation);
   return norms;
 }
 
-std::vector<ConcreteStatistic> CardinalityAdvisor::AssembleStatistics(
-    const Query& query) {
+std::optional<std::vector<ConcreteStatistic>>
+CardinalityAdvisor::AssembleStatistics(const Query& query) {
+  if (TooWide(query)) return std::nullopt;
   std::vector<ConcreteStatistic> stats;
   for (const StatRequest& request : EnumerateStatRequests(query)) {
-    const std::vector<double> norms =
-        CachedNorms(std::get<0>(request.key), std::get<1>(request.key),
-                    std::get<2>(request.key));
-    AppendStats(request, norms, options_.norms, stats);
+    const std::optional<std::vector<double>> norms = CachedNorms(request.key);
+    if (!norms) return std::nullopt;
+    AppendStats(request, *norms, options_.norms, stats);
   }
   return stats;
 }
 
+double CardinalityAdvisor::Refuse() {
+  refused_.fetch_add(1, std::memory_order_relaxed);
+  return std::numeric_limits<double>::quiet_NaN();
+}
+
 std::vector<std::vector<ConcreteStatistic>>
-CardinalityAdvisor::AssembleStatisticsBatch(std::span<const Query> queries) {
+CardinalityAdvisor::AssembleStatisticsBatch(std::span<const Query> queries,
+                                            std::vector<bool>* refused) {
   // Enumerate every query's degree-sequence lookups and dedup the keys
   // across the batch (first-appearance order): under admission batching
   // the batch mixes a few hot templates, so most requests resolve to a
@@ -174,7 +198,12 @@ CardinalityAdvisor::AssembleStatisticsBatch(std::span<const Query> queries) {
   std::vector<ShardedNormCache::Key> distinct;
   std::map<ShardedNormCache::Key, size_t> slot_of;
   std::vector<std::vector<size_t>> slots(queries.size());
+  std::vector<bool> bad(queries.size(), false);
   for (size_t i = 0; i < queries.size(); ++i) {
+    if (TooWide(queries[i])) {
+      bad[i] = true;
+      continue;
+    }
     requests[i] = EnumerateStatRequests(queries[i]);
     slots[i].reserve(requests[i].size());
     for (const StatRequest& r : requests[i]) {
@@ -190,28 +219,36 @@ CardinalityAdvisor::AssembleStatisticsBatch(std::span<const Query> queries) {
   // sequence as the scalar path — and re-inserted through one PutBatch,
   // each under the generation its GetBatch observed (a concurrent
   // Invalidate refuses the stale insert but this batch still serves its
-  // computed values, exactly like the scalar path).
+  // computed values, exactly like the scalar path). A key that names no
+  // relation or column of the catalog is never cached; every query that
+  // needs it is refused.
   std::vector<ShardedNormCache::Lookup> lookups = norms_.GetBatch(distinct);
   std::vector<ShardedNormCache::PutItem> puts;
+  std::vector<bool> unresolved(distinct.size(), false);
   for (size_t s = 0; s < distinct.size(); ++s) {
     if (lookups[s].found) continue;
-    const ShardedNormCache::Key& key = distinct[s];
-    const DegreeSequence deg = ComputeDegreeSequence(
-        catalog_.Get(std::get<0>(key)), std::get<1>(key), std::get<2>(key));
-    std::vector<double>& norms = lookups[s].norms;
-    norms.reserve(options_.norms.size());
-    for (double p : options_.norms) norms.push_back(deg.Log2NormP(p));
-    puts.push_back({key, norms, lookups[s].generation});
+    std::optional<std::vector<double>> norms = ComputeNorms(distinct[s]);
+    if (!norms) {
+      unresolved[s] = true;
+      continue;
+    }
+    lookups[s].norms = std::move(*norms);
+    puts.push_back({distinct[s], lookups[s].norms, lookups[s].generation});
   }
   if (!puts.empty()) norms_.PutBatch(std::move(puts));
 
   std::vector<std::vector<ConcreteStatistic>> out(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
+    for (size_t j = 0; j < requests[i].size() && !bad[i]; ++j) {
+      bad[i] = unresolved[slots[i][j]];
+    }
+    if (bad[i]) continue;
     for (size_t j = 0; j < requests[i].size(); ++j) {
       AppendStats(requests[i][j], lookups[slots[i][j]].norms, options_.norms,
                   out[i]);
     }
   }
+  if (refused != nullptr) *refused = std::move(bad);
   return out;
 }
 
@@ -315,15 +352,16 @@ void CardinalityAdvisor::RecordEval(const BoundResult& result) {
 double CardinalityAdvisor::EstimateLog2(const Query& query) {
   // The empty conjunction has exactly one (empty) answer tuple: log2 1 = 0.
   // Guarded here because no bound engine accepts a 0-variable structure.
-  if (query.num_atoms() == 0) {
+  if (query.num_atoms() == 0 && !TooWide(query)) {
     estimates_.fetch_add(1, std::memory_order_relaxed);
     return 0.0;
   }
   const auto stats = AssembleStatistics(query);
-  const BoundStructure structure = StructureOf(query.num_vars(), stats);
+  if (!stats) return Refuse();
+  const BoundStructure structure = StructureOf(query.num_vars(), *stats);
   std::shared_ptr<CompiledEntry> entry =
       LookupOrCompile(structure, StructureKey(structure));
-  std::vector<double> values = ValuesOf(stats);
+  std::vector<double> values = ValuesOf(*stats);
 
   BoundResult result;
   {
@@ -350,7 +388,7 @@ std::vector<double> CardinalityAdvisor::EstimateLog2Batch(
     const Query& query, std::span<const std::vector<double>> log_b_batch) {
   batch_calls_.fetch_add(1, std::memory_order_relaxed);
   batch_probes_.fetch_add(log_b_batch.size(), std::memory_order_relaxed);
-  if (query.num_atoms() == 0) {
+  if (query.num_atoms() == 0 && !TooWide(query)) {
     // Empty conjunction: one empty answer tuple regardless of statistics.
     // Only the empty value vector matches the (empty) statistics set.
     std::vector<double> out(log_b_batch.size(), kInfNorm);
@@ -361,7 +399,8 @@ std::vector<double> CardinalityAdvisor::EstimateLog2Batch(
     return out;
   }
   const auto stats = AssembleStatistics(query);
-  const BoundStructure structure = StructureOf(query.num_vars(), stats);
+  if (!stats) return std::vector<double>(log_b_batch.size(), Refuse());
+  const BoundStructure structure = StructureOf(query.num_vars(), *stats);
 
   // Callers hand-construct these vectors, so enforce the alignment
   // contract here rather than in a debug-only assert downstream: a
@@ -372,7 +411,7 @@ std::vector<double> CardinalityAdvisor::EstimateLog2Batch(
   std::vector<size_t> valid;
   valid.reserve(log_b_batch.size());
   for (size_t c = 0; c < log_b_batch.size(); ++c) {
-    if (log_b_batch[c].size() == stats.size()) valid.push_back(c);
+    if (log_b_batch[c].size() == stats->size()) valid.push_back(c);
   }
   if (valid.empty()) return out;
   std::vector<std::vector<double>> valid_values;
@@ -408,8 +447,9 @@ std::vector<double> CardinalityAdvisor::EstimateLog2Batch(
   batch_probes_.fetch_add(queries.size(), std::memory_order_relaxed);
   // Batched front half: all queries' statistics assembled through one
   // norm-store GetBatch/PutBatch round (keys deduped across the batch).
+  std::vector<bool> refused;
   const std::vector<std::vector<ConcreteStatistic>> all_stats =
-      AssembleStatisticsBatch(queries);
+      AssembleStatisticsBatch(queries, &refused);
   // Group queries by compiled structure (first-appearance order) so every
   // group pays one structure lookup and one per-bound lock, and its value
   // vectors ride the batch path together.
@@ -421,7 +461,12 @@ std::vector<double> CardinalityAdvisor::EstimateLog2Batch(
   };
   std::vector<Group> groups;
   std::map<std::string, size_t> group_of;
+  std::vector<double> out(queries.size(), 0.0);
   for (size_t i = 0; i < queries.size(); ++i) {
+    if (refused[i]) {
+      out[i] = Refuse();
+      continue;
+    }
     if (queries[i].num_atoms() == 0) {
       // Empty conjunction: log2 1 = 0, no structure to compile.
       estimates_.fetch_add(1, std::memory_order_relaxed);
@@ -439,7 +484,6 @@ std::vector<double> CardinalityAdvisor::EstimateLog2Batch(
     group.values.push_back(ValuesOf(stats));
   }
 
-  std::vector<double> out(queries.size(), 0.0);
   for (Group& group : groups) {
     std::shared_ptr<CompiledEntry> entry =
         LookupOrCompile(group.structure, group.key);
@@ -498,7 +542,14 @@ std::vector<double> CardinalityAdvisor::EstimateBatch(
 CardinalityAdvisor::Explanation CardinalityAdvisor::Explain(
     const Query& query) {
   Explanation out;
-  out.stats = AssembleStatistics(query);
+  std::optional<std::vector<ConcreteStatistic>> stats =
+      AssembleStatistics(query);
+  if (!stats) {
+    out.bound.log2_bound = Refuse();
+    out.metrics = metrics();
+    return out;
+  }
+  out.stats = std::move(*stats);
   for (ConcreteStatistic& s : out.stats) s.label = ToString(s, query);
   const BoundStructure structure = StructureOf(query.num_vars(), out.stats);
   std::shared_ptr<CompiledEntry> entry =
@@ -543,6 +594,7 @@ AdvisorMetrics CardinalityAdvisor::metrics() const {
   m.warm_resolves = warm_resolves_.load(std::memory_order_relaxed);
   m.cold_solves = cold_solves_.load(std::memory_order_relaxed);
   m.lp_fallbacks = lp_fallbacks_.load(std::memory_order_relaxed);
+  m.refused = refused_.load(std::memory_order_relaxed);
   m.norm_evictions = norms_.Evictions();
   m.norm_hits = norms_.Hits();
   m.norm_misses = norms_.Misses();

@@ -16,7 +16,13 @@
 //     re-evaluated per statistics. For a repeated query template the
 //     estimate is a statistics lookup plus a dual-witness dot product; the
 //     LP is re-solved (warm, then cold) only when the cached basis stops
-//     being optimal.
+//     being optimal. Footprint: one sweep of the plan-drift benchmark
+//     compiles 3,838 structures, which hold about 645 MB on the dense
+//     backend and 570 MB on the revised one (4-core x86 VM, gcc 12). The
+//     Nn presolve (bounds/normal_engine.h) keeps 25–35 columns per
+//     structure, so per-structure memory is now the rows × rows basis
+//     scratch of each backend, not the 2^n − 1 step-function columns
+//     (2.6 GB on the dense backend when every column was built).
 //   * estimate memo — each compiled structure remembers the last 8 value
 //     vectors it evaluated with their log2 bounds, most recently used
 //     first, compared bitwise. The values are the LP's only per-estimate
@@ -45,6 +51,14 @@
 // resolve (one cached LU factorization, shared dual witness) instead of
 // one scalar cascade per probe.
 //
+// Malformed queries are refused, never undefined behaviour: a query over
+// more than kMaxVars variables, or one with an atom whose relation the
+// catalog lacks or whose arity exceeds the relation's, gets quiet NaN from
+// every estimation entry point (Explain: bound.log2_bound) and counts in
+// AdvisorMetrics::refused. The width check is one comparison per query;
+// the catalog check runs only where a statistics-store miss reads the
+// relation, so the hit path never pays for it.
+//
 // Thread safety: all estimation entry points may be called concurrently.
 // The compiled cache is read lock-free: the map lives behind an RCU-style
 // atomic shared_ptr snapshot, so the hot (hit) path is one atomic load —
@@ -62,6 +76,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -110,6 +125,9 @@ struct AdvisorMetrics {
   // LP failures answered with the product bound (BoundResult::fallback);
   // each is also counted in the path its failed evaluation took.
   uint64_t lp_fallbacks = 0;
+  // Malformed queries answered NaN (see the header comment); not counted
+  // in `estimates`.
+  uint64_t refused = 0;
   uint64_t norm_evictions = 0;   // statistics-store LRU evictions
   // Statistics-store traffic (estimator/norm_cache.h): lookup hits and
   // misses (a miss is an O(N log N) degree-sequence recompute) and
@@ -147,7 +165,8 @@ class CardinalityAdvisor {
   CardinalityAdvisor(const Catalog& catalog, AdvisorOptions options = {});
 
   // log2 upper bound on |Q(D)|; +infinity if the statistics cannot bound
-  // the query (should not happen for full CQs with maintained norms).
+  // the query (should not happen for full CQs with maintained norms); NaN
+  // if the query is refused.
   double EstimateLog2(const Query& query);
 
   // Upper bound in linear space (2^EstimateLog2, saturating).
@@ -186,9 +205,11 @@ class CardinalityAdvisor {
   // touched cache shard's mutex is visited once per batch instead of once
   // per statistic. Per query the returned statistics are bitwise those of
   // the scalar assembly the Explain path performs (same enumeration
-  // order, same norm computation). A 0-atom query yields an empty vector.
+  // order, same norm computation). A 0-atom query yields an empty vector,
+  // and so does a refused one; `refused`, when given, receives per query
+  // whether it was refused.
   std::vector<std::vector<ConcreteStatistic>> AssembleStatisticsBatch(
-      std::span<const Query> queries);
+      std::span<const Query> queries, std::vector<bool>* refused = nullptr);
 
   // Full result (certificate weights, optimal polymatroid) plus the
   // statistics it was computed from and a metrics snapshot taken after the
@@ -198,7 +219,8 @@ class CardinalityAdvisor {
   // LP failed and the product bound answered, and lp_backend
   // names the LP solver backend ("dense" or "revised", lp/tableau.h;
   // selected via AdvisorOptions::engine.simplex.backend or
-  // LPB_LP_BACKEND) that served it.
+  // LPB_LP_BACKEND) that served it. A refused query gets a NaN
+  // bound.log2_bound, no statistics and an empty lp_backend.
   struct Explanation {
     BoundResult bound;
     std::vector<ConcreteStatistic> stats;
@@ -268,12 +290,21 @@ class CardinalityAdvisor {
 
   // Cached log2 norms for one degree sequence, aligned with options_.norms.
   // Returns by value: the copy keeps the caller independent of concurrent
-  // Invalidate calls and LRU evictions.
-  std::vector<double> CachedNorms(const std::string& relation,
-                                  const std::vector<int>& u_cols,
-                                  const std::vector<int>& v_cols);
+  // Invalidate calls and LRU evictions. nullopt when the key names a
+  // relation or column the catalog lacks.
+  std::optional<std::vector<double>> CachedNorms(
+      const ShardedNormCache::Key& key);
+  // The statistics-store miss: the key's norms computed from the catalog,
+  // or nullopt when the key names a relation or column it lacks.
+  std::optional<std::vector<double>> ComputeNorms(
+      const ShardedNormCache::Key& key) const;
 
-  std::vector<ConcreteStatistic> AssembleStatistics(const Query& query);
+  // nullopt when the query is refused.
+  std::optional<std::vector<ConcreteStatistic>> AssembleStatistics(
+      const Query& query);
+
+  // Counts one refused query; returns the refusal answer, quiet NaN.
+  double Refuse();
 
   // The compiled-bound map is immutable once published: every write copies
   // the current map and swaps the snapshot pointer (RCU). Readers hold the
@@ -314,6 +345,7 @@ class CardinalityAdvisor {
   std::atomic<uint64_t> warm_resolves_{0};
   std::atomic<uint64_t> cold_solves_{0};
   std::atomic<uint64_t> lp_fallbacks_{0};
+  std::atomic<uint64_t> refused_{0};
   std::atomic<uint64_t> lp_pivots_{0};
   std::atomic<uint64_t> lp_refactorizations_{0};
   std::atomic<uint64_t> lp_ft_updates_{0};

@@ -7,7 +7,7 @@
 // smallest residual range and probed into the others by binary search.
 // This is the evaluation substrate for true cardinalities in the
 // experiments and the black-box evaluator inside the Sec 2.2 partitioning
-// algorithm (our PANDA stand-in; see DESIGN.md).
+// algorithm (our PANDA stand-in, exec/partition.h).
 #ifndef LPB_EXEC_GENERIC_JOIN_H_
 #define LPB_EXEC_GENERIC_JOIN_H_
 

@@ -21,6 +21,11 @@ const Relation& Catalog::Get(const std::string& name) const {
   return it->second;
 }
 
+const Relation* Catalog::Find(const std::string& name) const {
+  auto it = relations_.find(name);
+  return it == relations_.end() ? nullptr : &it->second;
+}
+
 Relation* Catalog::GetMutable(const std::string& name) {
   auto it = relations_.find(name);
   return it == relations_.end() ? nullptr : &it->second;

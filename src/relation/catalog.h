@@ -16,7 +16,9 @@ class Catalog {
   void Add(Relation rel);
 
   bool Has(const std::string& name) const;
+  // `name` must be present (asserted only); Find is the checked lookup.
   const Relation& Get(const std::string& name) const;
+  const Relation* Find(const std::string& name) const;  // nullptr if absent
   Relation* GetMutable(const std::string& name);
 
   std::vector<std::string> Names() const;

@@ -122,7 +122,10 @@ class AdvisorService {
   // Submits one estimate; the future resolves to the query's log2 bound
   // (identical to advisor.EstimateLog2) once a worker's admission batch
   // containing it completes. After Shutdown the future is already
-  // resolved, with quiet NaN.
+  // resolved, with quiet NaN. A malformed query (unknown relation, too
+  // many variables) resolves to quiet NaN too: the advisor refuses it
+  // inside the worker's batch call and counts it in
+  // AdvisorMetrics::refused, and the rest of the batch is served as usual.
   std::future<double> SubmitLog2(Query query);
 
   // Zero-copy submit: the service shares ownership of the query instead

@@ -2,8 +2,9 @@
 // the direct advisor call), admission-batch coalescing, the shutdown
 // contract (queued requests drain to completion, later submits are rejected
 // with quiet NaN), the advisor batch-path edge cases the service leans on,
-// and a 16-client stress with concurrent invalidation churn — the serving
-// half of what the CI TSan lane runs.
+// the refusal of malformed queries at both boundaries, and a 16-client
+// stress with concurrent invalidation churn — the serving half of what the
+// CI TSan lane runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -272,6 +273,128 @@ TEST(AdvisorBatchEdgeCases, MisSizedWhatIfVectorsYieldInfinity) {
   EXPECT_FALSE(Mismatch(got[0], expected));
   EXPECT_TRUE(std::isinf(got[1]));
   EXPECT_TRUE(std::isinf(got[2]));
+}
+
+// Malformed queries: an atom over a relation the catalog lacks, an atom
+// wider than its relation, and a query over more than kMaxVars variables.
+// Each is refused with quiet NaN and counted, on every entry point, and
+// never reaches Catalog::Get (which only asserts).
+Query UnknownRelationQuery() { return Parse("R(X,Y), Missing(Y,Z)"); }
+Query TooWideAtomQuery() { return Parse("R(X,Y), S(Y,Z,W)"); }
+
+#ifdef NDEBUG
+// A chain over kMaxVars + 2 variables. Query::AddVar asserts the limit, so
+// such a query exists only in NDEBUG builds — the ones where the advisor's
+// refusal is the only guard.
+Query OverWideQuery() {
+  Query q;
+  for (int i = 0; i <= kMaxVars; ++i) {
+    q.AddAtom("R", {"X" + std::to_string(i), "X" + std::to_string(i + 1)});
+  }
+  return q;
+}
+#endif
+
+TEST(AdvisorRefusal, ScalarEntryPointsRefuseMalformedQueries) {
+  Catalog db = ServeDb();
+  CardinalityAdvisor advisor(db);
+  std::vector<Query> malformed = {UnknownRelationQuery(), TooWideAtomQuery()};
+#ifdef NDEBUG
+  malformed.push_back(OverWideQuery());
+#endif
+  uint64_t refused = 0;
+  for (const Query& q : malformed) {
+    SCOPED_TRACE(q.ToString());
+    EXPECT_TRUE(std::isnan(advisor.EstimateLog2(q)));
+    EXPECT_TRUE(std::isnan(advisor.Estimate(q)));
+    const CardinalityAdvisor::Explanation ex = advisor.Explain(q);
+    EXPECT_TRUE(std::isnan(ex.bound.log2_bound));
+    EXPECT_TRUE(ex.stats.empty());
+    const std::vector<double> what_if =
+        advisor.EstimateLog2Batch(q, std::vector<std::vector<double>>(2));
+    ASSERT_EQ(what_if.size(), 2u);
+    EXPECT_TRUE(std::isnan(what_if[0]) && std::isnan(what_if[1]));
+    refused += 4;
+    EXPECT_EQ(advisor.metrics().refused, refused);
+  }
+  // Refusals are not estimates, and nothing about them was cached.
+  EXPECT_EQ(advisor.metrics().estimates, 0u);
+  EXPECT_EQ(advisor.CompiledCacheSize(), 0u);
+  // A well-formed query is still served.
+  EXPECT_TRUE(std::isfinite(advisor.EstimateLog2(Parse("R(X,Y), S(Y,Z)"))));
+}
+
+TEST(AdvisorRefusal, MultiQueryBatchRefusesOnlyTheMalformedQueries) {
+  Catalog db = ServeDb();
+  CardinalityAdvisor advisor(db);
+  CardinalityAdvisor reference(db);
+  std::vector<Query> batch = {Parse("R(X,Y), S(Y,Z)"), UnknownRelationQuery(),
+                              Parse("T(X,Y), U(Y,Z)"), TooWideAtomQuery(),
+                              Parse("R(X,Y), S(Y,Z)"), UnknownRelationQuery()};
+  std::vector<bool> malformed = {false, true, false, true, false, true};
+#ifdef NDEBUG
+  batch.push_back(OverWideQuery());
+  malformed.push_back(true);
+#endif
+  const std::vector<double> got = advisor.EstimateLog2Batch(batch);
+  ASSERT_EQ(got.size(), batch.size());
+  uint64_t refused = 0;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    SCOPED_TRACE(i);
+    if (malformed[i]) {
+      EXPECT_TRUE(std::isnan(got[i]));
+      ++refused;
+    } else {
+      EXPECT_EQ(got[i], reference.EstimateLog2(batch[i]));
+    }
+  }
+  EXPECT_EQ(advisor.metrics().refused, refused);
+
+  std::vector<bool> flags;
+  const auto stats = advisor.AssembleStatisticsBatch(batch, &flags);
+  EXPECT_EQ(flags, malformed);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(stats[i].empty(), malformed[i]) << i;
+  }
+}
+
+TEST(AdvisorRefusal, ServiceSubmitsOfMalformedQueriesResolveToNaN) {
+  Catalog db = ServeDb();
+  CardinalityAdvisor advisor(db);
+  CardinalityAdvisor reference(db);
+  AdvisorServiceOptions sopt;
+  sopt.workers = 2;
+  sopt.pin_workers = false;
+  AdvisorService service(advisor, sopt);
+  std::vector<Query> queries = ServeQueries();
+  const size_t valid = queries.size();
+  queries.push_back(UnknownRelationQuery());
+  queries.push_back(TooWideAtomQuery());
+#ifdef NDEBUG
+  queries.push_back(OverWideQuery());
+#endif
+  std::vector<std::future<double>> futures;
+  for (int round = 0; round < 4; ++round) {
+    for (const Query& q : queries) futures.push_back(service.SubmitLog2(q));
+  }
+  for (size_t k = 0; k < futures.size(); ++k) {
+    const size_t i = k % queries.size();
+    const double got = futures[k].get();
+    if (i < valid) {
+      EXPECT_FALSE(Mismatch(got, reference.EstimateLog2(queries[i]))) << i;
+    } else {
+      EXPECT_TRUE(std::isnan(got)) << i;
+    }
+  }
+  service.Shutdown();
+  EXPECT_EQ(service.metrics().completed, futures.size());
+  EXPECT_EQ(service.metrics().rejected, 0u);
+  // Each worker batch refuses its distinct malformed queries once.
+  EXPECT_GE(advisor.metrics().refused, queries.size() - valid);
+  EXPECT_LE(advisor.metrics().refused, 4 * (queries.size() - valid));
+  // The synchronous path rides the same refusal.
+  AdvisorService again(advisor, sopt);
+  EXPECT_TRUE(std::isnan(again.EstimateLog2(UnknownRelationQuery())));
 }
 
 TEST(AdvisorService, SixteenClientStressWithInvalidationChurn) {
