@@ -40,11 +40,15 @@ std::vector<double> ValuesOf(const std::vector<ConcreteStatistic>& stats) {
   return values;
 }
 
-std::string StructureKey(const BoundStructure& structure) {
+namespace {
+
+// StructureKey's encoding: n, then (σ.u, σ.v, p) per shape, raw bytes.
+template <typename Shapes>
+std::string EncodeStructureKey(int n, const Shapes& shapes) {
   std::string key;
-  key.reserve(1 + structure.shapes.size() * 16);
-  key.push_back(static_cast<char>(structure.n));
-  for (const StatisticShape& shape : structure.shapes) {
+  key.reserve(1 + shapes.size() * 16);
+  key.push_back(static_cast<char>(n));
+  for (const auto& shape : shapes) {
     char buf[16];
     std::memcpy(buf, &shape.sigma.u, 4);
     std::memcpy(buf + 4, &shape.sigma.v, 4);
@@ -52,6 +56,16 @@ std::string StructureKey(const BoundStructure& structure) {
     key.append(buf, sizeof(buf));
   }
   return key;
+}
+
+}  // namespace
+
+std::string StructureKey(const BoundStructure& structure) {
+  return EncodeStructureKey(structure.n, structure.shapes);
+}
+
+std::string StructureKey(int n, const std::vector<ConcreteStatistic>& stats) {
+  return EncodeStructureKey(n, stats);
 }
 
 BoundResult CompiledBound::Evaluate(const std::vector<double>& log_b,

@@ -59,6 +59,8 @@ std::vector<double> ValuesOf(const std::vector<ConcreteStatistic>& stats);
 
 // Canonical byte encoding of a structure, usable as a hash/map cache key.
 std::string StructureKey(const BoundStructure& structure);
+// StructureKey(StructureOf(n, stats)), without building the structure.
+std::string StructureKey(int n, const std::vector<ConcreteStatistic>& stats);
 
 // Shape predicates of the classic filtered bounds — the single definition
 // shared by the "agm"/"panda" engines and FilterAgmStatistics /

@@ -5,7 +5,10 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "bounds/normal_engine.h"
@@ -13,77 +16,134 @@
 namespace lpb {
 namespace {
 
-int ColumnOfVar(const Atom& atom, int v) {
-  for (size_t j = 0; j < atom.vars.size(); ++j) {
-    if (atom.vars[j] == v) return static_cast<int>(j);
+// Statistic assembly works per atom. Each statistic is an ℓp norm of one
+// atom's degree sequence, and an atom asks the statistics store for the
+// cardinality assertion (ℓ1 of deg(vars | ∅)) and then, when it has more
+// than one distinct variable, one simple conditional deg(vars ∖ {v} | {v})
+// per variable v in ascending id order. The store's keys name columns, and
+// a variable's column is its first position in the atom, so the keys of
+// an atom are fixed by its *signature*: the relation plus the rank of each
+// column's variable among the atom's distinct variables. R(X,Y) and
+// R(Y,Z) share a signature; R(Y,X) with X < Y and R(X,X) each have their
+// own.
+
+// Rank of variable v among `vars`, the distinct variables of its atom.
+int RankOf(VarSet vars, int v) { return SetSize(vars & (VarBit(v) - 1)); }
+
+size_t HashMix(size_t h, size_t x) {
+  return h ^ (x + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2));
+}
+
+bool SameSignature(const Atom& a, VarSet a_vars, const Atom& b,
+                   VarSet b_vars) {
+  if (a.vars.size() != b.vars.size() || a.relation != b.relation) {
+    return false;
   }
-  return -1;
+  for (size_t j = 0; j < a.vars.size(); ++j) {
+    if (RankOf(a_vars, a.vars[j]) != RankOf(b_vars, b.vars[j])) return false;
+  }
+  return true;
 }
 
-std::vector<int> ColumnsOf(const Atom& atom, VarSet s) {
-  std::vector<int> cols;
-  for (int v : VarRange(s)) cols.push_back(ColumnOfVar(atom, v));
-  return cols;
+// The column of each of the atom's distinct variables, indexed by rank.
+void ColumnsByRank(const Atom& atom, VarSet vars, std::vector<int>& cols) {
+  cols.assign(static_cast<size_t>(SetSize(vars)), 0);
+  for (size_t j = atom.vars.size(); j-- > 0;) {
+    cols[static_cast<size_t>(RankOf(vars, atom.vars[j]))] =
+        static_cast<int>(j);
+  }
 }
 
-// One degree-sequence lookup a query's statistics assembly needs: the
-// norm-store key plus how its cached norms materialize into statistics
-// (every maintained norm for a conditional, only the ℓ1 entry for a
-// cardinality assertion). The scalar and batched assembly paths share
-// this enumeration, which is what makes their outputs bitwise identical.
-struct StatRequest {
-  ShardedNormCache::Key key;
-  Conditional sigma;
-  bool cardinality = false;  // emit only the p == 1 norm (ℓ1 of deg(V|∅))
-  int guard_atom = -1;
+// One store key of an atom, described by its columns by rank: `given`
+// is the rank of the conditioning variable, or -1 for the cardinality
+// assertion (U = ∅, V = every column).
+size_t KeyHash(size_t relation_hash, const std::vector<int>& cols,
+               int given) {
+  size_t h = HashMix(relation_hash, given < 0 ? 0 : cols[given] + 1);
+  for (int r = 0; r < static_cast<int>(cols.size()); ++r) {
+    if (r != given) h = HashMix(h, static_cast<size_t>(cols[r]));
+  }
+  return h;
+}
+
+bool KeyMatches(const ShardedNormCache::Key& key, const std::string& relation,
+                const std::vector<int>& cols, int given) {
+  const auto& [key_relation, u, v] = key;
+  if (u.size() != (given < 0 ? 0u : 1u) || u.size() + v.size() != cols.size()) {
+    return false;
+  }
+  if (given >= 0 && u[0] != cols[given]) return false;
+  size_t k = 0;
+  for (int r = 0; r < static_cast<int>(cols.size()); ++r) {
+    if (r != given && v[k++] != cols[r]) return false;
+  }
+  return key_relation == relation;
+}
+
+ShardedNormCache::Key MakeKey(const std::string& relation,
+                              const std::vector<int>& cols, int given) {
+  ShardedNormCache::Key key{relation, {}, {}};
+  std::vector<int>& u = std::get<1>(key);
+  std::vector<int>& v = std::get<2>(key);
+  if (given >= 0) u.push_back(cols[given]);
+  v.reserve(cols.size());
+  for (int r = 0; r < static_cast<int>(cols.size()); ++r) {
+    if (r != given) v.push_back(cols[r]);
+  }
+  return key;
+}
+
+// Open-addressing index over the entries of one batch (positions into a
+// vector the caller owns), sized up front for at most `capacity` entries
+// so it never rehashes. Each slot keeps its entry's hash, so a probe
+// compares whole entries only on a hash match.
+class FlatIndex {
+ public:
+  explicit FlatIndex(size_t capacity)
+      : slots_(std::bit_ceil(2 * capacity + 2)) {}
+
+  // The position of the entry with `hash` that `equal` accepts; when there
+  // is none, records `fresh` as that entry. The bool says it was fresh.
+  template <typename Equal>
+  std::pair<uint32_t, bool> FindOrInsert(size_t hash, uint32_t fresh,
+                                         Equal equal) {
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = hash & mask;; i = (i + 1) & mask) {
+      Slot& slot = slots_[i];
+      if (slot.pos == kEmpty) {
+        slot = {hash, fresh};
+        return {fresh, true};
+      }
+      if (slot.hash == hash && equal(slot.pos)) return {slot.pos, false};
+    }
+  }
+
+ private:
+  static constexpr uint32_t kEmpty = UINT32_MAX;
+  struct Slot {
+    size_t hash = 0;
+    uint32_t pos = kEmpty;
+  };
+  std::vector<Slot> slots_;
 };
 
-std::vector<StatRequest> EnumerateStatRequests(const Query& query) {
-  std::vector<StatRequest> requests;
-  for (int a = 0; a < query.num_atoms(); ++a) {
-    const Atom& atom = query.atom(a);
-    const VarSet atom_vars = atom.var_set();
-
-    // Cardinality assertion (ℓ1 over (vars | ∅)).
-    {
-      StatRequest r;
-      r.key = {atom.relation, {}, ColumnsOf(atom, atom_vars)};
-      r.sigma = {0, atom_vars};
-      r.cardinality = true;
-      r.guard_atom = a;
-      requests.push_back(std::move(r));
-    }
-
-    // Simple per-variable conditionals.
-    for (int v : VarRange(atom_vars)) {
-      const VarSet u = VarBit(v);
-      const VarSet rest = atom_vars & ~u;
-      if (rest == 0) continue;
-      StatRequest r;
-      r.key = {atom.relation, ColumnsOf(atom, u), ColumnsOf(atom, rest)};
-      r.sigma = {u, rest};
-      r.guard_atom = a;
-      requests.push_back(std::move(r));
-    }
-  }
-  return requests;
-}
-
-// Materializes one request's statistics from its cached norm vector
-// (aligned with `norm_ps`, the advisor's maintained norm indices).
-void AppendStats(const StatRequest& request,
+// Appends the statistics of one request from its cached norm vector
+// (aligned with `norm_ps`, the advisor's maintained norm indices): every
+// maintained norm for a conditional, only the ℓ1 entry for a cardinality
+// assertion.
+void AppendStats(Conditional sigma, bool cardinality, int guard_atom,
                  const std::vector<double>& log_norms,
                  const std::vector<double>& norm_ps,
                  std::vector<ConcreteStatistic>& stats) {
   for (size_t k = 0; k < norm_ps.size(); ++k) {
-    if (request.cardinality && norm_ps[k] != 1.0) continue;
+    if (cardinality && norm_ps[k] != 1.0) continue;
     ConcreteStatistic s;
-    s.sigma = request.sigma;
+    s.sigma = sigma;
     s.p = norm_ps[k];
     s.log_b = log_norms[k];
-    s.guard_atom = request.guard_atom;
+    s.guard_atom = guard_atom;
     stats.push_back(s);
-    if (request.cardinality) break;
+    if (cardinality) break;
   }
 }
 
@@ -132,8 +192,7 @@ CardinalityAdvisor::CardinalityAdvisor(const Catalog& catalog,
                                        AdvisorOptions options)
     : catalog_(catalog),
       options_(std::move(options)),
-      norms_(options_.norm_cache),
-      compiled_(std::make_shared<const CompiledMap>()) {}
+      norms_(options_.norm_cache) {}
 
 std::optional<std::vector<double>> CardinalityAdvisor::ComputeNorms(
     const ShardedNormCache::Key& key) const {
@@ -155,31 +214,13 @@ std::optional<std::vector<double>> CardinalityAdvisor::ComputeNorms(
   return norms;
 }
 
-std::optional<std::vector<double>> CardinalityAdvisor::CachedNorms(
-    const ShardedNormCache::Key& key) {
-  ShardedNormCache::Lookup lookup = norms_.Get(key);
-  if (lookup.found) return std::move(lookup.norms);
-  // Compute outside the shard lock: degree-sequence extraction is
-  // O(N log N) and must not serialize concurrent estimators. A racing
-  // thread may compute the same entry; both arrive at identical values, so
-  // last-write-wins is harmless. Put refuses the insert if an Invalidate
-  // ran meanwhile (the norms may reflect pre-update data — serve them for
-  // this call but do not cache).
-  std::optional<std::vector<double>> norms = ComputeNorms(key);
-  if (norms) norms_.Put(key, *norms, lookup.generation);
-  return norms;
-}
-
 std::optional<std::vector<ConcreteStatistic>>
 CardinalityAdvisor::AssembleStatistics(const Query& query) {
-  if (TooWide(query)) return std::nullopt;
-  std::vector<ConcreteStatistic> stats;
-  for (const StatRequest& request : EnumerateStatRequests(query)) {
-    const std::optional<std::vector<double>> norms = CachedNorms(request.key);
-    if (!norms) return std::nullopt;
-    AppendStats(request, *norms, options_.norms, stats);
-  }
-  return stats;
+  std::vector<bool> refused;
+  std::vector<std::vector<ConcreteStatistic>> stats =
+      AssembleStatisticsBatch(std::span<const Query>(&query, 1), &refused);
+  if (refused[0]) return std::nullopt;
+  return std::move(stats[0]);
 }
 
 double CardinalityAdvisor::Refuse() {
@@ -190,38 +231,89 @@ double CardinalityAdvisor::Refuse() {
 std::vector<std::vector<ConcreteStatistic>>
 CardinalityAdvisor::AssembleStatisticsBatch(std::span<const Query> queries,
                                             std::vector<bool>* refused) {
-  // Enumerate every query's degree-sequence lookups and dedup the keys
-  // across the batch (first-appearance order): under admission batching
-  // the batch mixes a few hot templates, so most requests resolve to a
-  // slot another query already claimed.
-  std::vector<std::vector<StatRequest>> requests(queries.size());
+  // The store keys of an atom are fixed by its signature, so they are
+  // enumerated once per distinct signature in the batch and deduped into
+  // `distinct` in first-appearance order — the order a per-statistic scan
+  // of the batch finds them in, since a signature's keys are enumerated
+  // where it first appears. Every other atom costs one hash lookup; an
+  // optimizer level or an admission batch is one query's subsets or a
+  // few hot templates, so most atoms repeat a signature.
+  struct AtomTemplate {
+    const Atom* atom = nullptr;  // the first atom with this signature
+    VarSet vars = 0;             // its distinct variables
+    size_t first_key = 0;        // its keys' slots: template_keys[first_key..]
+    size_t num_keys = 0;
+    size_t num_stats = 0;        // statistics one such atom emits
+    bool unresolved = false;     // some key names what the catalog lacks
+  };
+  const size_t cardinality_stats = static_cast<size_t>(
+      std::count(options_.norms.begin(), options_.norms.end(), 1.0) > 0);
+  size_t max_atoms = 0;
+  size_t max_keys = 0;
+  for (const Query& query : queries) {
+    if (TooWide(query)) continue;
+    max_atoms += query.atoms().size();
+    for (const Atom& atom : query.atoms()) max_keys += 1 + atom.vars.size();
+  }
+  std::vector<AtomTemplate> templates;
+  std::vector<uint32_t> template_keys;  // slots into `distinct`
+  std::vector<uint32_t> atom_template;  // per atom of every query, in order
+  atom_template.reserve(max_atoms);
   std::vector<ShardedNormCache::Key> distinct;
-  std::map<ShardedNormCache::Key, size_t> slot_of;
-  std::vector<std::vector<size_t>> slots(queries.size());
+  FlatIndex template_index(max_atoms);
+  FlatIndex key_index(max_keys);
+  std::vector<int> cols;
   std::vector<bool> bad(queries.size(), false);
   for (size_t i = 0; i < queries.size(); ++i) {
     if (TooWide(queries[i])) {
       bad[i] = true;
       continue;
     }
-    requests[i] = EnumerateStatRequests(queries[i]);
-    slots[i].reserve(requests[i].size());
-    for (const StatRequest& r : requests[i]) {
-      auto [it, inserted] = slot_of.emplace(r.key, distinct.size());
-      if (inserted) distinct.push_back(r.key);
-      slots[i].push_back(it->second);
+    for (const Atom& atom : queries[i].atoms()) {
+      const VarSet vars = atom.var_set();
+      const size_t relation_hash =
+          std::hash<std::string_view>{}(atom.relation);
+      size_t hash = relation_hash;
+      for (int v : atom.vars) {
+        hash = HashMix(hash, static_cast<size_t>(RankOf(vars, v)));
+      }
+      const auto [t, fresh] = template_index.FindOrInsert(
+          hash, static_cast<uint32_t>(templates.size()), [&](uint32_t pos) {
+            return SameSignature(*templates[pos].atom, templates[pos].vars,
+                                 atom, vars);
+          });
+      atom_template.push_back(t);
+      if (!fresh) continue;
+      AtomTemplate tmpl;
+      tmpl.atom = &atom;
+      tmpl.vars = vars;
+      tmpl.first_key = template_keys.size();
+      ColumnsByRank(atom, vars, cols);
+      const int conditionals = cols.size() > 1 ? static_cast<int>(cols.size())
+                                               : 0;
+      for (int given = -1; given < conditionals; ++given) {
+        const auto [slot, new_key] = key_index.FindOrInsert(
+            KeyHash(relation_hash, cols, given),
+            static_cast<uint32_t>(distinct.size()), [&](uint32_t pos) {
+              return KeyMatches(distinct[pos], atom.relation, cols, given);
+            });
+        if (new_key) distinct.push_back(MakeKey(atom.relation, cols, given));
+        template_keys.push_back(slot);
+      }
+      tmpl.num_keys = template_keys.size() - tmpl.first_key;
+      tmpl.num_stats =
+          cardinality_stats + (tmpl.num_keys - 1) * options_.norms.size();
+      templates.push_back(tmpl);
     }
   }
 
   // One GetBatch over the distinct keys: each touched store shard's mutex
   // is taken once for the whole batch (norm_cache.h). Misses are computed
-  // outside any lock — same O(N log N) extraction and the same Log2NormP
-  // sequence as the scalar path — and re-inserted through one PutBatch,
-  // each under the generation its GetBatch observed (a concurrent
-  // Invalidate refuses the stale insert but this batch still serves its
-  // computed values, exactly like the scalar path). A key that names no
-  // relation or column of the catalog is never cached; every query that
-  // needs it is refused.
+  // outside any lock and re-inserted through one PutBatch, each under the
+  // generation its GetBatch observed (a concurrent Invalidate refuses the
+  // stale insert but this batch still serves its computed values). A key
+  // that names no relation or column of the catalog is never cached;
+  // every query that needs it is refused.
   std::vector<ShardedNormCache::Lookup> lookups = norms_.GetBatch(distinct);
   std::vector<ShardedNormCache::PutItem> puts;
   std::vector<bool> unresolved(distinct.size(), false);
@@ -236,61 +328,77 @@ CardinalityAdvisor::AssembleStatisticsBatch(std::span<const Query> queries,
     puts.push_back({distinct[s], lookups[s].norms, lookups[s].generation});
   }
   if (!puts.empty()) norms_.PutBatch(std::move(puts));
+  for (AtomTemplate& tmpl : templates) {
+    for (size_t k = 0; k < tmpl.num_keys; ++k) {
+      tmpl.unresolved =
+          tmpl.unresolved || unresolved[template_keys[tmpl.first_key + k]];
+    }
+  }
 
+  // Per atom: the cardinality assertion, then the conditional of each
+  // variable in ascending id order — the σ's are bit operations on the
+  // atom's variable set, and the norms come from its template's keys.
   std::vector<std::vector<ConcreteStatistic>> out(queries.size());
+  size_t next_atom = 0;
   for (size_t i = 0; i < queries.size(); ++i) {
-    for (size_t j = 0; j < requests[i].size() && !bad[i]; ++j) {
-      bad[i] = unresolved[slots[i][j]];
+    if (bad[i]) continue;
+    const size_t first_atom = next_atom;
+    next_atom += queries[i].atoms().size();
+    size_t num_stats = 0;
+    for (size_t a = first_atom; a < next_atom; ++a) {
+      const AtomTemplate& tmpl = templates[atom_template[a]];
+      bad[i] = bad[i] || tmpl.unresolved;
+      num_stats += tmpl.num_stats;
     }
     if (bad[i]) continue;
-    for (size_t j = 0; j < requests[i].size(); ++j) {
-      AppendStats(requests[i][j], lookups[slots[i][j]].norms, options_.norms,
-                  out[i]);
+    std::vector<ConcreteStatistic>& stats = out[i];
+    stats.reserve(num_stats);
+    for (int a = 0; a < queries[i].num_atoms(); ++a) {
+      const VarSet vars = queries[i].atom(a).var_set();
+      const AtomTemplate& tmpl =
+          templates[atom_template[first_atom + static_cast<size_t>(a)]];
+      const uint32_t* keys = template_keys.data() + tmpl.first_key;
+      AppendStats({0, vars}, /*cardinality=*/true, a, lookups[keys[0]].norms,
+                  options_.norms, stats);
+      if (tmpl.num_keys == 1) continue;
+      size_t k = 1;
+      for (int v : VarRange(vars)) {
+        AppendStats({VarBit(v), vars & ~VarBit(v)}, /*cardinality=*/false, a,
+                    lookups[keys[k++]].norms, options_.norms, stats);
+      }
     }
   }
   if (refused != nullptr) *refused = std::move(bad);
   return out;
 }
 
-std::shared_ptr<CardinalityAdvisor::CompiledEntry>
-CardinalityAdvisor::LookupOrCompile(const BoundStructure& structure,
-                                    const std::string& key) {
-  // Hot path: one atomic load of the immutable snapshot — no lock, so a
-  // writer burst (a batch of fresh templates compiling) never serializes
-  // concurrent readers of already-compiled structures.
+CardinalityAdvisor::CompiledEntry& CardinalityAdvisor::LookupOrCompile(
+    int n, const std::vector<ConcreteStatistic>& stats,
+    const std::string& key) {
+  // Hot path: a shared lock held for the find only. Entries are never
+  // erased and live behind unique_ptrs, so the reference stays valid
+  // after the lock is released, whatever later inserts rehash.
   {
-    std::shared_ptr<const CompiledMap> snapshot =
-        compiled_.load(std::memory_order_acquire);
-    auto it = snapshot->find(key);
-    if (it != snapshot->end()) {
+    std::shared_lock<std::shared_mutex> lock(compiled_mu_);
+    auto it = compiled_.find(key);
+    if (it != compiled_.end()) {
       compiled_hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
+      return *it->second;
     }
   }
-  // Compile outside the writer lock — Γn compilation materializes the
-  // elemental lattice. If another thread compiled the same structure
-  // meanwhile, its entry wins and ours is dropped.
+  // Compile outside any lock — Γn compilation materializes the elemental
+  // lattice, and readers of other structures must not wait for it. If
+  // another thread published the same structure meanwhile, its entry wins
+  // and ours is dropped.
   const BoundEngine* engine = FindBoundEngine(options_.bound_engine);
   if (engine == nullptr) engine = FindBoundEngine("auto");
-  auto fresh = std::make_shared<CompiledEntry>();
-  fresh->bound = engine->Compile(structure, options_.engine);
-  std::lock_guard<std::mutex> lock(compiled_writer_mu_);
-  std::shared_ptr<const CompiledMap> current =
-      compiled_.load(std::memory_order_acquire);
-  auto it = current->find(key);
-  if (it != current->end()) {
-    compiled_hits_.fetch_add(1, std::memory_order_relaxed);
-    return it->second;
-  }
-  // Copy-on-write publish: readers keep whatever snapshot they hold; the
-  // next lookup sees the new map.
-  auto next = std::make_shared<CompiledMap>(*current);
-  auto [pos, inserted] = next->emplace(key, std::move(fresh));
-  compiled_.store(std::shared_ptr<const CompiledMap>(std::move(next)),
-                  std::memory_order_release);
-  compiled_misses_.fetch_add(1, std::memory_order_relaxed);
-  (void)inserted;
-  return pos->second;
+  auto fresh = std::make_unique<CompiledEntry>();
+  fresh->bound = engine->Compile(StructureOf(n, stats), options_.engine);
+  std::unique_lock<std::shared_mutex> lock(compiled_mu_);
+  auto [it, inserted] = compiled_.try_emplace(key, std::move(fresh));
+  (inserted ? compiled_misses_ : compiled_hits_)
+      .fetch_add(1, std::memory_order_relaxed);
+  return *it->second;
 }
 
 void CardinalityAdvisor::RecordEval(const BoundResult& result) {
@@ -358,22 +466,21 @@ double CardinalityAdvisor::EstimateLog2(const Query& query) {
   }
   const auto stats = AssembleStatistics(query);
   if (!stats) return Refuse();
-  const BoundStructure structure = StructureOf(query.num_vars(), *stats);
-  std::shared_ptr<CompiledEntry> entry =
-      LookupOrCompile(structure, StructureKey(structure));
+  CompiledEntry& entry = LookupOrCompile(
+      query.num_vars(), *stats, StructureKey(query.num_vars(), *stats));
   std::vector<double> values = ValuesOf(*stats);
 
   BoundResult result;
   {
-    std::lock_guard<std::mutex> lock(entry->mu);
-    if (const EstimateMemo::Slot* slot = entry->memo.Find(values)) {
+    std::lock_guard<std::mutex> lock(entry.mu);
+    if (const EstimateMemo::Slot* slot = entry.memo.Find(values)) {
       estimates_.fetch_add(1, std::memory_order_relaxed);
       memo_hits_.fetch_add(1, std::memory_order_relaxed);
       return slot->log2_bound;
     }
-    result = entry->bound->Evaluate(values, /*want_h_opt=*/false);
+    result = entry.bound->Evaluate(values, /*want_h_opt=*/false);
     if (!result.fallback) {
-      entry->memo.Insert(std::move(values)).log2_bound = result.log2_bound;
+      entry.memo.Insert(std::move(values)).log2_bound = result.log2_bound;
     }
   }
   RecordEval(result);
@@ -400,7 +507,6 @@ std::vector<double> CardinalityAdvisor::EstimateLog2Batch(
   }
   const auto stats = AssembleStatistics(query);
   if (!stats) return std::vector<double>(log_b_batch.size(), Refuse());
-  const BoundStructure structure = StructureOf(query.num_vars(), *stats);
 
   // Callers hand-construct these vectors, so enforce the alignment
   // contract here rather than in a debug-only assert downstream: a
@@ -420,19 +526,19 @@ std::vector<double> CardinalityAdvisor::EstimateLog2Batch(
     for (size_t c : valid) valid_values.push_back(log_b_batch[c]);
   }
 
-  std::shared_ptr<CompiledEntry> entry =
-      LookupOrCompile(structure, StructureKey(structure));
+  CompiledEntry& entry = LookupOrCompile(
+      query.num_vars(), *stats, StructureKey(query.num_vars(), *stats));
   std::vector<BoundResult> results;
   {
     // One lock for the whole block: the batch is one evaluation sequence
     // on the shared compiled bound (see CompiledEntry). The common
     // all-valid case passes the caller's block through without copying.
-    std::lock_guard<std::mutex> lock(entry->mu);
+    std::lock_guard<std::mutex> lock(entry.mu);
     results = valid.size() == log_b_batch.size()
-                  ? entry->bound->EvaluateBatch(log_b_batch,
-                                                /*want_h_opt=*/false)
-                  : entry->bound->EvaluateBatch(valid_values,
-                                                /*want_h_opt=*/false);
+                  ? entry.bound->EvaluateBatch(log_b_batch,
+                                               /*want_h_opt=*/false)
+                  : entry.bound->EvaluateBatch(valid_values,
+                                               /*want_h_opt=*/false);
   }
   for (size_t k = 0; k < results.size(); ++k) {
     RecordEval(results[k]);
@@ -454,13 +560,15 @@ std::vector<double> CardinalityAdvisor::EstimateLog2Batch(
   // group pays one structure lookup and one per-bound lock, and its value
   // vectors ride the batch path together.
   struct Group {
-    BoundStructure structure;
-    std::string key;
+    size_t first;            // the query that opened the group
+    const std::string* key;  // owned by group_of
     std::vector<size_t> indices;
     std::vector<std::vector<double>> values;
   };
   std::vector<Group> groups;
-  std::map<std::string, size_t> group_of;
+  std::unordered_map<std::string, size_t> group_of;
+  groups.reserve(queries.size());
+  group_of.reserve(queries.size());
   std::vector<double> out(queries.size(), 0.0);
   for (size_t i = 0; i < queries.size(); ++i) {
     if (refused[i]) {
@@ -473,20 +581,17 @@ std::vector<double> CardinalityAdvisor::EstimateLog2Batch(
       continue;
     }
     const std::vector<ConcreteStatistic>& stats = all_stats[i];
-    BoundStructure structure = StructureOf(queries[i].num_vars(), stats);
-    std::string key = StructureKey(structure);
-    auto [it, inserted] = group_of.emplace(key, groups.size());
-    if (inserted) {
-      groups.push_back(Group{std::move(structure), std::move(key), {}, {}});
-    }
+    std::string key = StructureKey(queries[i].num_vars(), stats);
+    auto [it, inserted] = group_of.try_emplace(std::move(key), groups.size());
+    if (inserted) groups.push_back(Group{i, &it->first, {}, {}});
     Group& group = groups[it->second];
     group.indices.push_back(i);
     group.values.push_back(ValuesOf(stats));
   }
 
   for (Group& group : groups) {
-    std::shared_ptr<CompiledEntry> entry =
-        LookupOrCompile(group.structure, group.key);
+    CompiledEntry& entry = LookupOrCompile(
+        queries[group.first].num_vars(), all_stats[group.first], *group.key);
     // Replay the memo over the group in order, entering each miss as a
     // pending slot: hits, misses and evictions then fall exactly where the
     // scalar sequence puts them, and a repeat of an earlier miss of the
@@ -500,10 +605,10 @@ std::vector<double> CardinalityAdvisor::EstimateLog2Batch(
     std::vector<BoundResult> results;
     uint64_t hits = 0;
     {
-      std::lock_guard<std::mutex> lock(entry->mu);
+      std::lock_guard<std::mutex> lock(entry.mu);
       for (size_t k = 0; k < group.values.size(); ++k) {
         if (const EstimateMemo::Slot* slot =
-                entry->memo.Find(group.values[k])) {
+                entry.memo.Find(group.values[k])) {
           ++hits;
           miss_of[k] = slot->pending;
           if (slot->pending == EstimateMemo::kSettled) {
@@ -512,12 +617,12 @@ std::vector<double> CardinalityAdvisor::EstimateLog2Batch(
           continue;
         }
         miss_of[k] = misses.size();
-        entry->memo.Insert(group.values[k]).pending = misses.size();
+        entry.memo.Insert(group.values[k]).pending = misses.size();
         misses.push_back(std::move(group.values[k]));
       }
       if (!misses.empty()) {
-        results = entry->bound->EvaluateBatch(misses, /*want_h_opt=*/false);
-        entry->memo.Settle(results);
+        results = entry.bound->EvaluateBatch(misses, /*want_h_opt=*/false);
+        entry.memo.Settle(results);
       }
     }
     estimates_.fetch_add(hits, std::memory_order_relaxed);
@@ -551,12 +656,11 @@ CardinalityAdvisor::Explanation CardinalityAdvisor::Explain(
   }
   out.stats = std::move(*stats);
   for (ConcreteStatistic& s : out.stats) s.label = ToString(s, query);
-  const BoundStructure structure = StructureOf(query.num_vars(), out.stats);
-  std::shared_ptr<CompiledEntry> entry =
-      LookupOrCompile(structure, StructureKey(structure));
+  CompiledEntry& entry = LookupOrCompile(
+      query.num_vars(), out.stats, StructureKey(query.num_vars(), out.stats));
   {
-    std::lock_guard<std::mutex> lock(entry->mu);
-    out.bound = entry->bound->Evaluate(ValuesOf(out.stats),
+    std::lock_guard<std::mutex> lock(entry.mu);
+    out.bound = entry.bound->Evaluate(ValuesOf(out.stats),
                                        /*want_h_opt=*/true);
   }
   RecordEval(out.bound);
@@ -570,12 +674,14 @@ size_t CardinalityAdvisor::CacheSize() const { return norms_.Size(); }
 size_t CardinalityAdvisor::CacheBytes() const { return norms_.Bytes(); }
 
 size_t CardinalityAdvisor::CompiledCacheSize() const {
-  return compiled_.load(std::memory_order_acquire)->size();
+  std::shared_lock<std::shared_mutex> lock(compiled_mu_);
+  return compiled_.size();
 }
 
 size_t CardinalityAdvisor::MemoSize() const {
+  std::shared_lock<std::shared_mutex> map_lock(compiled_mu_);
   size_t slots = 0;
-  for (const auto& [key, entry] : *compiled_.load(std::memory_order_acquire)) {
+  for (const auto& [key, entry] : compiled_) {
     std::lock_guard<std::mutex> lock(entry->mu);
     slots += entry->memo.size();
   }

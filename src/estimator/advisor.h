@@ -60,11 +60,14 @@
 // relation, so the hit path never pays for it.
 //
 // Thread safety: all estimation entry points may be called concurrently.
-// The compiled cache is read lock-free: the map lives behind an RCU-style
-// atomic shared_ptr snapshot, so the hot (hit) path is one atomic load —
-// no reader ever serializes against a writer burst. Compiling a new
-// structure copies the map under a writer mutex and swaps the snapshot.
-// Each compiled bound carries its own mutex because Evaluate mutates the
+// The compiled cache is a hash map behind a shared_mutex: a lookup holds
+// the shared lock for the find only, and compilation runs outside any
+// lock, so readers wait at most for one O(1) insert. Publishing a newly
+// compiled structure inserts its entry under the exclusive lock; if two
+// threads compiled the same structure, the first insert wins and the
+// other's copy is dropped. Entries are never erased and are held by
+// unique_ptr, so a reference obtained under the lock stays valid. Each
+// compiled bound carries its own mutex because Evaluate mutates the
 // cached basis (a batch holds it for the whole block); the estimate memo
 // lives under that same mutex. Invalidate may run concurrently with
 // estimates.
@@ -73,12 +76,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <shared_mutex>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "bounds/bound_engine.h"
@@ -199,15 +203,18 @@ class CardinalityAdvisor {
   // Batched front half of the estimate path: the statistics of many
   // queries assembled through ONE norm-store GetBatch over the distinct
   // (relation, U, V) degree-sequence keys of the whole batch (plus one
-  // PutBatch for whatever had to be computed). Keys repeated across the
-  // batch's queries — the norm under admission batching, where concurrent
-  // requests mix a few hot templates — are resolved once, and each
-  // touched cache shard's mutex is visited once per batch instead of once
-  // per statistic. Per query the returned statistics are bitwise those of
-  // the scalar assembly the Explain path performs (same enumeration
-  // order, same norm computation). A 0-atom query yields an empty vector,
-  // and so does a refused one; `refused`, when given, receives per query
-  // whether it was refused.
+  // PutBatch for whatever had to be computed). Each statistic is an ℓp
+  // norm of one atom's degree sequence, and an atom's keys depend only on
+  // its relation and the rank pattern of its variables, so the keys are
+  // enumerated once per distinct such atom signature in the batch; every
+  // further atom costs one hash lookup, and its σ's are bit operations on
+  // its variable set. Keys repeated across the batch's queries are
+  // resolved once, and each touched cache shard's mutex is visited once
+  // per batch instead of once per statistic. The scalar entry points
+  // assemble through this same call over one query, so Explain(q).stats
+  // is bitwise this function's answer for q. A 0-atom query yields an
+  // empty vector, and so does a refused one; `refused`, when given,
+  // receives per query whether it was refused.
   std::vector<std::vector<ConcreteStatistic>> AssembleStatisticsBatch(
       std::span<const Query> queries, std::vector<bool>* refused = nullptr);
 
@@ -288,35 +295,25 @@ class CardinalityAdvisor {
     EstimateMemo memo;
   };
 
-  // Cached log2 norms for one degree sequence, aligned with options_.norms.
-  // Returns by value: the copy keeps the caller independent of concurrent
-  // Invalidate calls and LRU evictions. nullopt when the key names a
-  // relation or column the catalog lacks.
-  std::optional<std::vector<double>> CachedNorms(
-      const ShardedNormCache::Key& key);
   // The statistics-store miss: the key's norms computed from the catalog,
   // or nullopt when the key names a relation or column it lacks.
   std::optional<std::vector<double>> ComputeNorms(
       const ShardedNormCache::Key& key) const;
 
-  // nullopt when the query is refused.
+  // AssembleStatisticsBatch over one query; nullopt when it is refused.
   std::optional<std::vector<ConcreteStatistic>> AssembleStatistics(
       const Query& query);
 
   // Counts one refused query; returns the refusal answer, quiet NaN.
   double Refuse();
 
-  // The compiled-bound map is immutable once published: every write copies
-  // the current map and swaps the snapshot pointer (RCU). Readers hold the
-  // snapshot shared_ptr for the duration of their lookup, so a concurrent
-  // swap never invalidates what they see.
-  using CompiledMap = std::map<std::string, std::shared_ptr<CompiledEntry>>;
-
-  // Finds or compiles the bound entry for `structure` (whose canonical key
-  // is `key`), bumping the compiled hit/miss counters once. Lock-free on
-  // the hit path (one atomic snapshot load).
-  std::shared_ptr<CompiledEntry> LookupOrCompile(
-      const BoundStructure& structure, const std::string& key);
+  // Finds or compiles the bound entry for the structure of `stats` over n
+  // variables (whose canonical key is `key`), bumping the compiled
+  // hit/miss counters once. The hit path holds the map's shared lock for
+  // one hash lookup; only a miss builds the structure.
+  CompiledEntry& LookupOrCompile(int n,
+                                 const std::vector<ConcreteStatistic>& stats,
+                                 const std::string& key);
 
   // Counts one estimate the compiled bound evaluated: its path, whether it
   // fell back, and the LP solver work behind it.
@@ -327,13 +324,9 @@ class CardinalityAdvisor {
 
   ShardedNormCache norms_;
 
-  // RCU snapshot of the compiled-bound map (never null) and the mutex
-  // serializing writers (copy-insert-swap; readers never take it).
-  // NOTE: libstdc++ implements atomic<shared_ptr> with an embedded
-  // lock-bit protocol TSan cannot model (GCC bug 101761), so the TSan CI
-  // lane runs with the .github/tsan.supp suppression for _Sp_atomic.
-  std::atomic<std::shared_ptr<const CompiledMap>> compiled_;
-  std::mutex compiled_writer_mu_;
+  // Compiled bounds by structure key; see the thread-safety note above.
+  mutable std::shared_mutex compiled_mu_;
+  std::unordered_map<std::string, std::unique_ptr<CompiledEntry>> compiled_;
 
   std::atomic<uint64_t> estimates_{0};
   std::atomic<uint64_t> batch_calls_{0};

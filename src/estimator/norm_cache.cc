@@ -110,40 +110,64 @@ void ShardedNormCache::Put(const Key& key, std::vector<double> norms,
   PutLocked(shard, key, std::move(norms), generation);
 }
 
+template <typename RelationOf>
+std::vector<size_t> ShardedNormCache::ShardOrder(
+    size_t n, RelationOf relation_of, std::vector<size_t>& starts) const {
+  // A counting sort of 0..n-1 by shard, stable, so each shard's keys keep
+  // their input order: positions starts[s] .. starts[s + 1] of the result
+  // are shard s's.
+  std::vector<uint32_t> shard(n);
+  starts.assign(shards_.size() + 1, 0);
+  for (size_t i = 0; i < n; ++i) {
+    shard[i] = static_cast<uint32_t>(ShardIndexOf(relation_of(i)));
+    ++starts[shard[i] + 1];
+  }
+  for (size_t s = 0; s < shards_.size(); ++s) starts[s + 1] += starts[s];
+  std::vector<size_t> order(n);
+  std::vector<size_t> next(starts.begin(), starts.end() - 1);
+  for (size_t i = 0; i < n; ++i) order[next[shard[i]]++] = i;
+  return order;
+}
+
 std::vector<ShardedNormCache::Lookup> ShardedNormCache::GetBatch(
     std::span<const Key> keys) {
   std::vector<Lookup> out(keys.size());
-  // Bucket key indices by shard, then visit each touched shard once. The
-  // shard count is small and fixed, so the bucket vector is cheap; shards
-  // are locked one at a time in index order (never nested), so batches
-  // racing each other or scalar calls cannot deadlock.
-  std::vector<std::vector<size_t>> by_shard(shards_.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    by_shard[ShardIndexOf(std::get<0>(keys[i]))].push_back(i);
-  }
-  for (size_t s = 0; s < by_shard.size(); ++s) {
-    if (by_shard[s].empty()) continue;
+  // Visit each touched shard once. Shards are locked one at a time in
+  // index order (never nested), so batches racing each other or scalar
+  // calls cannot deadlock.
+  std::vector<size_t> starts;
+  const std::vector<size_t> order = ShardOrder(
+      keys.size(),
+      [&](size_t i) -> const std::string& { return std::get<0>(keys[i]); },
+      starts);
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    if (starts[s] == starts[s + 1]) continue;
     Shard& shard = *shards_[s];
     std::lock_guard<std::mutex> lock(shard.mu);
     ++shard.lock_acquisitions;
-    for (size_t i : by_shard[s]) out[i] = GetLocked(shard, keys[i]);
+    for (size_t k = starts[s]; k < starts[s + 1]; ++k) {
+      out[order[k]] = GetLocked(shard, keys[order[k]]);
+    }
   }
   return out;
 }
 
 void ShardedNormCache::PutBatch(std::vector<PutItem> items) {
-  std::vector<std::vector<size_t>> by_shard(shards_.size());
-  for (size_t i = 0; i < items.size(); ++i) {
-    by_shard[ShardIndexOf(std::get<0>(items[i].key))].push_back(i);
-  }
-  for (size_t s = 0; s < by_shard.size(); ++s) {
-    if (by_shard[s].empty()) continue;
+  std::vector<size_t> starts;
+  const std::vector<size_t> order = ShardOrder(
+      items.size(),
+      [&](size_t i) -> const std::string& {
+        return std::get<0>(items[i].key);
+      },
+      starts);
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    if (starts[s] == starts[s + 1]) continue;
     Shard& shard = *shards_[s];
     std::lock_guard<std::mutex> lock(shard.mu);
     ++shard.lock_acquisitions;
-    for (size_t i : by_shard[s]) {
-      PutLocked(shard, items[i].key, std::move(items[i].norms),
-                items[i].generation);
+    for (size_t k = starts[s]; k < starts[s + 1]; ++k) {
+      PutItem& item = items[order[k]];
+      PutLocked(shard, item.key, std::move(item.norms), item.generation);
     }
   }
 }

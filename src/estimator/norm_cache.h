@@ -141,6 +141,11 @@ class ShardedNormCache {
                  uint64_t generation);
 
   size_t ShardIndexOf(const std::string& relation) const;
+  // Positions 0..n-1 grouped by the shard of relation_of(i), in input
+  // order within a shard; `starts` receives each shard's range.
+  template <typename RelationOf>
+  std::vector<size_t> ShardOrder(size_t n, RelationOf relation_of,
+                                 std::vector<size_t>& starts) const;
   Shard& ShardOf(const std::string& relation);
   const Shard& ShardOf(const std::string& relation) const;
 

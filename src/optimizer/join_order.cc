@@ -204,45 +204,69 @@ void JoinOrderOptimizer::Run() {
   const AtomSet full = FullSet(m);
   const bool allow_cross = JoinGraphComponents(query_) > 1;
 
-  // Masks grouped by subset size — the DP levels.
-  std::vector<std::vector<AtomSet>> by_size(static_cast<size_t>(m) + 1);
-  for (AtomSet s = 1; s <= full; ++s) {
-    by_size[static_cast<size_t>(SetSize(s))].push_back(s);
+  // A partition is admissible when both halves are memoized and they share
+  // a variable (or cross products are allowed).
+  auto admissible_pair = [&](AtomSet left, AtomSet right) {
+    auto lit = memo_.find(left);
+    if (lit == memo_.end()) return false;
+    auto rit = memo_.find(right);
+    if (rit == memo_.end()) return false;
+    return Intersects(lit->second.vars, rit->second.vars) || allow_cross;
+  };
+
+  // Masks grouped by subset size — the bushy DP's levels.
+  std::vector<std::vector<AtomSet>> by_size;
+  if (!options_.left_deep) {
+    by_size.resize(static_cast<size_t>(m) + 1);
+    for (AtomSet s = 1; s <= full; ++s) {
+      by_size[static_cast<size_t>(SetSize(s))].push_back(s);
+    }
   }
 
   stats_.probes_per_level.assign(static_cast<size_t>(m), 0);
 
+  std::vector<AtomSet> candidates;  // this level's, in ascending mask order
   for (int k = 1; k <= m; ++k) {
     // Pass 1: find this level's candidates — subsets with at least one
     // admissible decomposition into memoized halves (every singleton, and
     // beyond that exactly the connected subsets unless the query itself is
     // disconnected, where cross-product partitions become admissible).
-    std::vector<AtomSet> candidates;
-    std::vector<Query> probes;
-    for (AtomSet s : by_size[static_cast<size_t>(k)]) {
-      bool admissible = k == 1;
-      if (k > 1) {
-        const AtomSet low = VarBit(LowestVar(s));
-        for (AtomSet left = (s - 1) & s; left != 0 && !admissible;
-             left = (left - 1) & s) {
-          if (!Intersects(left, low)) continue;  // canonical orientation
-          const AtomSet right = s & ~left;
-          if (options_.left_deep && SetSize(right) != 1 && SetSize(left) != 1) {
-            continue;
+    if (k == 1) {
+      for (int a = 0; a < m; ++a) candidates.push_back(VarBit(a));
+    } else if (options_.left_deep) {
+      // Left-deep admits only single-atom splits, so the candidates are
+      // exactly the memoized (k−1)-sets of the last level, each extended by
+      // one atom it admissibly joins: O(probes · m) map lookups, not a scan
+      // of every k-subset.
+      std::vector<AtomSet> extended;
+      for (AtomSet left : candidates) {
+        for (int a = 0; a < m; ++a) {
+          if (!Contains(left, a) && admissible_pair(left, VarBit(a))) {
+            extended.push_back(left | VarBit(a));
           }
-          auto lit = memo_.find(left);
-          if (lit == memo_.end()) continue;
-          auto rit = memo_.find(right);
-          if (rit == memo_.end()) continue;
-          admissible = Intersects(lit->second.vars, rit->second.vars) ||
-                       allow_cross;
         }
       }
-      if (!admissible) continue;
-      candidates.push_back(s);
-      probes.push_back(InducedSubquery(query_, s));
+      std::sort(extended.begin(), extended.end());
+      extended.erase(std::unique(extended.begin(), extended.end()),
+                     extended.end());
+      candidates = std::move(extended);
+    } else {
+      candidates.clear();
+      for (AtomSet s : by_size[static_cast<size_t>(k)]) {
+        const AtomSet low = VarBit(LowestVar(s));
+        for (AtomSet left = (s - 1) & s; left != 0; left = (left - 1) & s) {
+          // Canonical orientation: the half holding the lowest atom.
+          if (Intersects(left, low) && admissible_pair(left, s & ~left)) {
+            candidates.push_back(s);
+            break;
+          }
+        }
+      }
     }
     if (candidates.empty()) continue;
+    std::vector<Query> probes;
+    probes.reserve(candidates.size());
+    for (AtomSet s : candidates) probes.push_back(InducedSubquery(query_, s));
 
     // Pass 2: ONE model batch prices every candidate subplan of level k —
     // with the advisor model, one EstimateLog2Batch call whose
@@ -269,24 +293,17 @@ void JoinOrderOptimizer::Run() {
         continue;
       }
       bool found = false;
-      const AtomSet low = VarBit(LowestVar(s));
-      for (AtomSet left = (s - 1) & s; left != 0; left = (left - 1) & s) {
-        // Each unordered partition once: the half holding the lowest atom
-        // is canonically "left" (in left-deep mode the composite half
-        // drives, so orientation is fixed by shape instead).
-        if (!options_.left_deep && !Intersects(left, low)) continue;
-        const AtomSet right = s & ~left;
-        if (options_.left_deep && SetSize(right) != 1) continue;
+      auto try_partition = [&](AtomSet left, AtomSet right) {
         ++stats_.partitions_tried;
         auto lit = memo_.find(left);
-        if (lit == memo_.end()) continue;
+        if (lit == memo_.end()) return;
         auto rit = memo_.find(right);
-        if (rit == memo_.end()) continue;
+        if (rit == memo_.end()) return;
         ++stats_.memo_hits;
         const bool connected =
             Intersects(lit->second.vars, rit->second.vars);
         if (!connected) {
-          if (!allow_cross) continue;
+          if (!allow_cross) return;
           ++stats_.cross_partitions;
         }
         JoinMethod method;
@@ -311,6 +328,20 @@ void JoinOrderOptimizer::Run() {
           entry.right = right;
           entry.method = method;
           entry.cross_product = !connected;
+        }
+      };
+      if (options_.left_deep) {
+        // The composite half drives and the right input is one atom: the
+        // k single-atom splits, in ascending atom order (the order of a
+        // descending submask walk over the composite halves, so ties
+        // break the same way).
+        for (int a : VarRange(s)) try_partition(s & ~VarBit(a), VarBit(a));
+      } else {
+        // Each unordered partition once, via the descending submask walk:
+        // the half holding the lowest atom is canonically "left".
+        const AtomSet low = VarBit(LowestVar(s));
+        for (AtomSet left = (s - 1) & s; left != 0; left = (left - 1) & s) {
+          if (Intersects(left, low)) try_partition(left, s & ~left);
         }
       }
       assert(found);

@@ -18,7 +18,9 @@
 
 #include "estimator/advisor.h"
 #include "estimator/norm_cache.h"
+#include "optimizer/join_order.h"
 #include "query/parser.h"
+#include "stats/collector.h"
 #include "util/random.h"
 #include "util/zipf.h"
 
@@ -163,9 +165,11 @@ TEST(AdvisorConcurrent, EightThreadsBatchEstimatesStayExact) {
 }
 
 TEST(AdvisorConcurrent, CompiledMapSnapshotSurvivesWriterBursts) {
-  // The compiled-bound map is read via an RCU-style atomic snapshot: a
-  // burst of writers (threads compiling fresh structures) must never
-  // serialize or corrupt concurrent readers of already-compiled entries.
+  // The compiled-bound map is a hash map behind a shared_mutex: writers
+  // compile outside the lock and publish with one O(1) insert, so a burst
+  // of them (threads compiling fresh structures) must never corrupt, or
+  // hold up for longer than an insert, concurrent readers of
+  // already-compiled entries.
   // Self-join chains of increasing length give every thread its own
   // stream of never-before-seen structures (distinct statistic shape
   // multisets), while reader threads hammer one pre-compiled template.
@@ -207,8 +211,8 @@ TEST(AdvisorConcurrent, CompiledMapSnapshotSurvivesWriterBursts) {
           }
         }
       } else {
-        // Reader: the hot template must stay exact and lock-free through
-        // every snapshot swap the writers publish.
+        // Reader: the hot template must stay exact through every insert
+        // the writers publish (each may rehash the map).
         for (int round = 0; round < 300; ++round) {
           if (Mismatch(advisor.EstimateLog2(hot), expected)) {
             mismatches.fetch_add(1);
@@ -443,6 +447,68 @@ TEST(AdvisorBatchAssembly, BatchedStatisticsAreBitwiseScalarOnAllEngines) {
           EXPECT_EQ(batched[i][s].sigma.u, scalar[s].sigma.u);
           EXPECT_EQ(batched[i][s].sigma.v, scalar[s].sigma.v);
         }
+      }
+    }
+  }
+}
+
+TEST(AdvisorBatchAssembly, AtomSignaturesKeepRankPatternsApart) {
+  // Batched assembly enumerates degree-sequence keys once per atom
+  // signature: the relation plus the rank pattern of the atom's variables.
+  // One batch mixes every way two atoms of one relation can differ only in
+  // that pattern, with the first R atom the batch sees (in the refused
+  // query) taking the pattern no later R(X,Y)-shaped atom has, so a
+  // signature without the pattern hands later atoms the wrong columns:
+  //   * induced subqueries of R(X,Y), S(Y,Z), R(Z,X), where R's variables
+  //     are numbered in opposite orders across (and within) probes;
+  //   * a repeated variable, R(X,X), whose one key covers one column;
+  //   * a self-join with both atoms in the same order;
+  //   * an unknown relation, refused alone, and an atom wider than its
+  //     relation, refused alone.
+  // Each answer must be bitwise Explain's and the collector's, which
+  // computes every statistic from the catalog with no cache at all.
+  Catalog db = StressDb();
+  const Query triangle = Parse("R(X,Y), S(Y,Z), R(Z,X)");
+  std::vector<Query> batch = {Parse("Nope(X,Y), R(Y,X)")};
+  std::vector<bool> want_refused = {true};
+  for (AtomSet atoms = 1; atoms < 8; ++atoms) {
+    batch.push_back(InducedSubquery(triangle, atoms));
+    want_refused.push_back(false);
+  }
+  for (const char* text :
+       {"R(X,X)", "R(X,X), S(X,Y)", "R(X,Y), R(Y,Z)", "R(Y,X), R(X,Y)",
+        "S(X,Y), R(X,Y,Z)", "S(Y,X), R(X,Y)"}) {
+    batch.push_back(Parse(text));
+    want_refused.push_back(batch.back().ToString().find("R(X, Y, Z)") !=
+                           std::string::npos);
+  }
+  CardinalityAdvisor advisor(db);
+  std::vector<bool> refused;
+  const auto batched = advisor.AssembleStatisticsBatch(batch, &refused);
+  ASSERT_EQ(batched.size(), batch.size());
+  ASSERT_EQ(refused, want_refused);
+  CollectorOptions collect;
+  collect.norms = AdvisorOptions{}.norms;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const std::string name = batch[i].ToString();
+    const CardinalityAdvisor::Explanation explained = advisor.Explain(batch[i]);
+    if (want_refused[i]) {
+      EXPECT_TRUE(batched[i].empty()) << name;
+      EXPECT_TRUE(std::isnan(explained.bound.log2_bound)) << name;
+      continue;
+    }
+    const std::vector<ConcreteStatistic> collected =
+        CollectStatistics(batch[i], db, collect);
+    ASSERT_EQ(batched[i].size(), explained.stats.size()) << name;
+    ASSERT_EQ(batched[i].size(), collected.size()) << name;
+    for (size_t s = 0; s < collected.size(); ++s) {
+      for (const ConcreteStatistic* want : {&explained.stats[s], &collected[s]}) {
+        EXPECT_EQ(batched[i][s].log_b, want->log_b)  // bitwise
+            << name << " stat " << s;
+        EXPECT_EQ(batched[i][s].p, want->p) << name << " stat " << s;
+        EXPECT_EQ(batched[i][s].guard_atom, want->guard_atom) << name;
+        EXPECT_EQ(batched[i][s].sigma.u, want->sigma.u) << name;
+        EXPECT_EQ(batched[i][s].sigma.v, want->sigma.v) << name;
       }
     }
   }

@@ -5,6 +5,7 @@
 #include <limits>
 #include <map>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "datagen/job_gen.h"
@@ -110,6 +111,253 @@ double BestLeftDeepPeak(const Query& q,
     if (ok) best = std::min(best, peak);
   } while (std::next_permutation(perm.begin(), perm.end()));
   return best;
+}
+
+// The left-deep DP as it ran before it visited single-atom splits only:
+// every submask of every candidate, filtered down to left-deep shapes. It
+// is the oracle the optimizer's O(k) split walk must match exactly: same
+// candidates and probe batches, same partitions examined, and the same
+// eps-ties broken the same way, so the same memo and plan.
+struct SubmaskWalkResult {
+  std::map<AtomSet, DpEntry> memo;
+  uint64_t probes = 0;
+  uint64_t partitions_tried = 0;
+  uint64_t memo_hits = 0;
+};
+
+SubmaskWalkResult SubmaskWalkLeftDeep(const Query& query,
+                                      CardinalityModel& model,
+                                      const JoinOrderOptions& opt) {
+  auto saturating_exp2 = [](double log2) {
+    if (!(log2 < 120.0)) return std::exp2(120.0);
+    return std::exp2(std::max(log2, -120.0));
+  };
+  auto tolerant_less = [](double a, double b) {
+    return a < b - 1e-5 * std::max({std::abs(a), std::abs(b), 1.0});
+  };
+  auto improves = [&](double cost, double tiebreak, double best_cost,
+                      double best_tiebreak) {
+    if (tolerant_less(cost, best_cost)) return true;
+    if (tolerant_less(best_cost, cost)) return false;
+    return tolerant_less(tiebreak, best_tiebreak);
+  };
+  const int m = query.num_atoms();
+  const AtomSet full = FullSet(m);
+  // Cross products are admissible only in a disconnected query.
+  AtomSet reached = 1;
+  VarSet reached_vars = query.atom(0).var_set();
+  for (bool grew = true; grew;) {
+    grew = false;
+    for (int a = 0; a < m; ++a) {
+      if (!Contains(reached, a) &&
+          Intersects(query.atom(a).var_set(), reached_vars)) {
+        reached |= VarBit(a);
+        reached_vars |= query.atom(a).var_set();
+        grew = true;
+      }
+    }
+  }
+  const bool allow_cross = reached != full;
+
+  SubmaskWalkResult out;
+  std::map<AtomSet, DpEntry>& memo = out.memo;
+  for (int k = 1; k <= m; ++k) {
+    std::vector<AtomSet> candidates;
+    std::vector<Query> probes;
+    for (AtomSet s = 1; s <= full; ++s) {
+      if (SetSize(s) != k) continue;
+      bool admissible = k == 1;
+      const AtomSet low = VarBit(LowestVar(s));
+      for (AtomSet left = (s - 1) & s; left != 0 && !admissible && k > 1;
+           left = (left - 1) & s) {
+        if (!Intersects(left, low)) continue;
+        const AtomSet right = s & ~left;
+        if (SetSize(right) != 1 && SetSize(left) != 1) continue;
+        auto lit = memo.find(left);
+        auto rit = memo.find(right);
+        if (lit == memo.end() || rit == memo.end()) continue;
+        admissible =
+            Intersects(lit->second.vars, rit->second.vars) || allow_cross;
+      }
+      if (!admissible) continue;
+      candidates.push_back(s);
+      probes.push_back(InducedSubquery(query, s));
+    }
+    if (candidates.empty()) continue;
+    const std::vector<double> bounds = model.EstimateLog2Batch(probes);
+    out.probes += candidates.size();
+    for (size_t c = 0; c < candidates.size(); ++c) {
+      const AtomSet s = candidates[c];
+      DpEntry entry;
+      entry.atoms = s;
+      entry.log2_rows = bounds[c];
+      entry.rows = saturating_exp2(bounds[c]);
+      for (int a : VarRange(s)) entry.vars |= query.atom(a).var_set();
+      if (k == 1) {
+        entry.leaf_atom = LowestVar(s);
+        entry.cost = entry.rows;
+        entry.tiebreak = entry.rows;
+        memo.emplace(s, entry);
+        continue;
+      }
+      bool found = false;
+      for (AtomSet left = (s - 1) & s; left != 0; left = (left - 1) & s) {
+        const AtomSet right = s & ~left;
+        if (SetSize(right) != 1) continue;
+        ++out.partitions_tried;
+        auto lit = memo.find(left);
+        auto rit = memo.find(right);
+        if (lit == memo.end() || rit == memo.end()) continue;
+        ++out.memo_hits;
+        const DpEntry& l = lit->second;
+        const DpEntry& r = rit->second;
+        const bool connected = Intersects(l.vars, r.vars);
+        if (!connected && !allow_cross) continue;
+        double cost = 0.0;
+        double tiebreak = 0.0;
+        JoinMethod method = JoinMethod::kHash;
+        if (opt.objective == CostObjective::kPeakIntermediate) {
+          cost = std::max(entry.rows, l.cost);  // the right leaf is a scan
+          tiebreak = l.tiebreak + entry.rows;
+        } else {
+          const double hash =
+              opt.hash_build_weight * std::min(l.rows, r.rows) +
+              opt.hash_probe_weight * std::max(l.rows, r.rows);
+          const double merge =
+              opt.sort_weight * (l.rows * std::log2(l.rows + 2.0) +
+                                 r.rows * std::log2(r.rows + 2.0));
+          method = hash <= merge ? JoinMethod::kHash : JoinMethod::kMerge;
+          cost = l.cost + r.cost + std::min(hash, merge) + entry.rows;
+        }
+        if (!found || improves(cost, tiebreak, entry.cost, entry.tiebreak)) {
+          found = true;
+          entry.cost = cost;
+          entry.tiebreak = tiebreak;
+          entry.left = left;
+          entry.right = right;
+          entry.method = method;
+          entry.cross_product = !connected;
+        }
+      }
+      if (found) memo.emplace(s, entry);
+    }
+  }
+  return out;
+}
+
+void AppendOracleLeaves(const std::map<AtomSet, DpEntry>& memo, AtomSet s,
+                        std::vector<int>& order) {
+  const DpEntry& e = memo.at(s);
+  if (e.leaf_atom >= 0) {
+    order.push_back(e.leaf_atom);
+    return;
+  }
+  AppendOracleLeaves(memo, e.left, order);
+  AppendOracleLeaves(memo, e.right, order);
+}
+
+// Records every probe batch (as probe texts) and answers through `inner`,
+// remembering each answer by probe text so a second DP over the same
+// template sees bitwise the same cardinalities whatever the advisor's
+// cached bases did in between.
+class RecordingModel : public CardinalityModel {
+ public:
+  explicit RecordingModel(CardinalityModel& inner) : inner_(inner) {}
+  std::vector<double> EstimateLog2Batch(
+      const std::vector<Query>& probes) override {
+    std::vector<std::string> texts;
+    std::vector<Query> fresh;
+    for (const Query& probe : probes) {
+      texts.push_back(probe.ToString());
+      if (!answers_.count(texts.back())) fresh.push_back(probe);
+    }
+    if (!fresh.empty()) {
+      const std::vector<double> bounds = inner_.EstimateLog2Batch(fresh);
+      for (size_t i = 0; i < fresh.size(); ++i) {
+        answers_.emplace(fresh[i].ToString(), bounds[i]);
+      }
+    }
+    std::vector<double> out;
+    for (const std::string& text : texts) out.push_back(answers_.at(text));
+    batches.push_back(std::move(texts));
+    return out;
+  }
+  std::vector<std::vector<std::string>> batches;
+
+ private:
+  CardinalityModel& inner_;
+  std::map<std::string, double> answers_;
+};
+
+class ConstantModel : public CardinalityModel {
+ public:
+  std::vector<double> EstimateLog2Batch(
+      const std::vector<Query>& probes) override {
+    return std::vector<double>(probes.size(), 10.0);
+  }
+};
+
+// Runs the left-deep DP and the submask-walk oracle on every template
+// under both objectives and asserts they agree on everything observable.
+void ExpectLeftDeepMatchesSubmaskWalk(const std::vector<Query>& queries,
+                                      CardinalityModel& inner) {
+  for (const CostObjective objective :
+       {CostObjective::kPeakIntermediate, CostObjective::kTotalCost}) {
+    JoinOrderOptions opt;
+    opt.left_deep = true;
+    opt.objective = objective;
+    for (const Query& q : queries) {
+      RecordingModel model(inner);
+      const SubmaskWalkResult want = SubmaskWalkLeftDeep(q, model, opt);
+      const auto want_batches = model.batches;
+      model.batches.clear();
+      JoinOrderOptimizer dp(q, model, opt);
+      const JoinPlan& plan = dp.Optimize();
+      EXPECT_EQ(model.batches, want_batches) << q.name();
+      EXPECT_EQ(dp.stats().probes, want.probes) << q.name();
+      EXPECT_EQ(dp.stats().partitions_tried, want.partitions_tried)
+          << q.name();
+      EXPECT_EQ(dp.stats().memo_hits, want.memo_hits) << q.name();
+      ASSERT_EQ(dp.memo().size(), want.memo.size()) << q.name();
+      for (const auto& [mask, entry] : want.memo) {
+        const DpEntry& got = dp.memo().at(mask);
+        EXPECT_EQ(got.left, entry.left) << q.name() << " mask " << mask;
+        EXPECT_EQ(got.right, entry.right) << q.name() << " mask " << mask;
+        EXPECT_EQ(got.cost, entry.cost) << q.name() << " mask " << mask;
+        EXPECT_EQ(got.tiebreak, entry.tiebreak) << q.name();
+        EXPECT_EQ(got.method, entry.method) << q.name();
+        EXPECT_EQ(got.cross_product, entry.cross_product) << q.name();
+      }
+      std::vector<int> want_order;
+      AppendOracleLeaves(want.memo, FullSet(q.num_atoms()), want_order);
+      EXPECT_EQ(plan.AtomOrder(), want_order) << q.name();
+      EXPECT_EQ(plan.cost(), want.memo.at(FullSet(q.num_atoms())).cost);
+    }
+  }
+}
+
+TEST(JoinOrderOptimizer, LeftDeepSplitsMatchTheSubmaskWalkOnBounds) {
+  JobWorkloadOptions jopt;
+  jopt.scale = 0.05;
+  JobWorkload wl = GenerateJobWorkload(jopt);
+  ASSERT_EQ(wl.queries.size(), 33u);
+  CardinalityAdvisor advisor(wl.catalog);
+  AdvisorCardinalityModel model(advisor);
+  ExpectLeftDeepMatchesSubmaskWalk(wl.queries, model);
+}
+
+TEST(JoinOrderOptimizer, LeftDeepSplitsMatchTheSubmaskWalkOnTies) {
+  // Every cost ties, so only the order partitions are visited in decides.
+  // Two disconnected queries join the templates: their cross-product
+  // partitions are admissible, so every subset is a candidate.
+  std::vector<std::string> texts = JobQueryTexts();
+  ASSERT_EQ(texts.size(), 33u);
+  texts.push_back("A(X), B(Y), C(Z), D(W)");
+  texts.push_back("R(X,Y), S(Y,Z), T(W,V), U(V,Q), A(P)");
+  std::vector<Query> queries;
+  for (const std::string& text : texts) queries.push_back(Parse(text));
+  ConstantModel model;
+  ExpectLeftDeepMatchesSubmaskWalk(queries, model);
 }
 
 TEST(JoinOrderOptimizer, TotalCostOptimalVsExhaustiveOnSmallJobQueries) {
