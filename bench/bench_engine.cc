@@ -81,7 +81,7 @@ void PrintTable() {
         t_norm = std::chrono::duration<double>(
                      std::chrono::steady_clock::now() - t0)
                      .count();
-        bound = r.base.log2_bound;
+        bound = r.log2_bound;
       }
       std::printf("%-6d %-7s %12.4f %12.4f %12.4f %10.3f %10d\n", n,
                   cycle ? "cycle" : "path", t_full, t_cuts, t_norm, bound,
@@ -117,7 +117,7 @@ void BM_NormalEngine(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   auto stats = PathStats(n);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(NormalPolymatroidBound(n, stats).base.log2_bound);
+    benchmark::DoNotOptimize(NormalPolymatroidBound(n, stats).log2_bound);
   }
 }
 BENCHMARK(BM_NormalEngine)->Arg(6)->Arg(10)->Arg(14);

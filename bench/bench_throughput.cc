@@ -4,7 +4,8 @@
 // query templates. This bench measures estimates/sec on the synthetic JOB
 // workload (33 templates) in four regimes:
 //   * cold   — a fresh LP built and solved from scratch per estimate
-//              (the pre-pipeline behavior: LpNormBound on the statistics);
+//              (LpNormBound on the statistics: compile, evaluate once,
+//              discard);
 //   * warm   — the advisor's scalar path, one call at a time, on the
 //              templates' unchanged statistics: every repeat is an exact
 //              input, so the per-structure estimate memo answers it
@@ -161,8 +162,7 @@ struct RegimeRun {
   uint64_t memo = 0, witness = 0, warm = 0, cold = 0;
   // LP work behind the regime (AdvisorMetrics deltas): simplex pivots and
   // basis refactorizations. The warm regime's refactorizations-per-resolve
-  // is the Forrest–Tomlin acceptance metric — the eta-file scheme
-  // refactorized every 32 updates, FT carries 64 plus a fill budget.
+  // tracks the Forrest–Tomlin budget: 64 updates plus a fill limit.
   uint64_t pivots = 0, refactorizations = 0;
   // Per-kernel call/cycle table (lp/kernels.h), collected in extra
   // workload sweeps with cycle timing on — the timed measurement above runs
@@ -386,14 +386,12 @@ GammaRun MeasureGammaPivots(PricingRule rule, const char* label, int n,
     cut.full_lattice_max_n = 4;  // force cutting-plane mode
     cut.simplex.backend = LpBackendKind::kRevised;
     cut.simplex.pricing = rule;
-    // Pin the update scheme and the cut warm start too: a stray
-    // LPB_LP_UPDATE=eta or LPB_LP_CUT_WARM=0 in the runner environment
-    // must not skew the CI-gated counters off the path the baseline was
-    // recorded from. The *_cold lanes pin kOff instead: they measure the
-    // recompile-per-round growth loop, where column pricing still
-    // differentiates the rules (warm appends repair via dual simplex, so
-    // the warm lanes pivot identically under either rule).
-    cut.simplex.basis_update = BasisUpdateKind::kForrestTomlin;
+    // Pin the cut warm start too: a stray LPB_LP_CUT_WARM=0 in the runner
+    // environment must not skew the CI-gated counters off the path the
+    // baseline was recorded from. The *_cold lanes pin kOff instead: they
+    // measure the recompile-per-round growth loop, where column pricing
+    // still differentiates the rules (warm appends repair via dual simplex,
+    // so the warm lanes pivot identically under either rule).
     cut.simplex.cut_warm_start = warm_start;
     auto compiled =
         FindBoundEngine("gamma")->Compile(StructureOf(n, stats), cut);
@@ -470,7 +468,6 @@ CutBatchRun MeasureCutBatch(LpBackendKind backend) {
   EngineOptions cut;
   cut.full_lattice_max_n = 4;  // force cutting-plane mode
   cut.simplex.backend = backend;
-  cut.simplex.basis_update = BasisUpdateKind::kForrestTomlin;
   cut.simplex.cut_warm_start = CutWarmStart::kOn;
   const BoundStructure structure = StructureOf(n, stats);
   const BoundEngine* engine = FindBoundEngine("gamma");

@@ -42,13 +42,13 @@ void PrintTable() {
   Query q = *ParseQuery("R1(X,Y), R2(Y,Z), R3(Z,X), S1(X), S2(Y), S3(Z)");
   for (double b : {4.0, 6.0, 8.0, 10.0, 12.0}) {
     auto bound = NormalPolymatroidBound(q.num_vars(), Example67Stats(b));
-    if (!bound.base.ok()) continue;
+    if (!bound.ok()) continue;
     WorstCaseInstance wc = BuildWorstCaseDatabase(q, bound.alpha);
     const uint64_t count = CountJoin(q, wc.database);
     std::printf("%-8.1f %10.3f %14llu %14.3f %16.1f\n", b,
-                bound.base.log2_bound,
+                bound.log2_bound,
                 static_cast<unsigned long long>(count),
-                static_cast<double>(count) / std::exp2(bound.base.log2_bound),
+                static_cast<double>(count) / std::exp2(bound.log2_bound),
                 std::exp2(3.0 * b / 5.0));
   }
   std::printf(
@@ -71,7 +71,7 @@ void BM_NormalBoundExample67(benchmark::State& state) {
   auto stats = Example67Stats(10.0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        NormalPolymatroidBound(q.num_vars(), stats).base.log2_bound);
+        NormalPolymatroidBound(q.num_vars(), stats).log2_bound);
   }
 }
 BENCHMARK(BM_NormalBoundExample67);

@@ -43,7 +43,7 @@ int main() {
   auto bound = NormalPolymatroidBound(q.num_vars(), stats);
   std::printf("query: %s\n", q.ToString().c_str());
   std::printf("polymatroid bound: 2^%.2f = %.0f tuples\n",
-              bound.base.log2_bound, std::exp2(bound.base.log2_bound));
+              bound.log2_bound, std::exp2(bound.log2_bound));
 
   std::printf("optimal step-function decomposition h* = sum alpha_W h_W:\n");
   for (VarSet w = 1; w < (1u << q.num_vars()); ++w) {
@@ -66,7 +66,7 @@ int main() {
   std::printf("|Q(worst-case D)| = %llu  (2^%.2f of the 2^%.2f bound)\n",
               static_cast<unsigned long long>(achieved),
               std::log2(static_cast<double>(achieved)),
-              bound.base.log2_bound);
+              bound.log2_bound);
   std::printf("=> the bound is tight for these (simple) statistics; to "
               "tighten it, collect more norms.\n");
   return 0;

@@ -152,14 +152,15 @@ void AnswerWithProductBound(const BoundStructure& structure,
   result.fallback = true;
 }
 
-BoundResult MakeGammaResult(const LpResult& lp,
-                            const BoundStructure& structure,
-                            const std::vector<double>& log_b, int cut_rounds,
-                            bool want_h_opt) {
-  const int n = structure.n;
+// The one LP → BoundResult conversion of every engine: status, solver
+// provenance and counters, then the bound — +∞ when unbounded, the product
+// bound on failure, else the optimum with the statistics rows' duals as
+// witness weights (both engines put the statistics rows first). Each
+// engine adds its own h* (and the Nn engine its α*) to an optimal result.
+BoundResult ResultFromLp(const LpResult& lp, const BoundStructure& structure,
+                         const std::vector<double>& log_b) {
   BoundResult result;
   result.status = lp.status;
-  result.cut_rounds = cut_rounds;
   result.lp_iterations = lp.iterations;
   result.eval_path = lp.path;
   result.lp_backend = lp.backend;
@@ -167,19 +168,12 @@ BoundResult MakeGammaResult(const LpResult& lp,
   result.lp_stats = lp.stats;
   if (lp.status == LpStatus::kUnbounded) {
     result.log2_bound = kInfNorm;
-    return result;
-  }
-  if (lp.status != LpStatus::kOptimal) {
+  } else if (lp.status != LpStatus::kOptimal) {
     AnswerWithProductBound(structure, log_b, result);
-    return result;
-  }
-  result.log2_bound = lp.objective;
-  result.weights.assign(lp.duals.begin(),
-                        lp.duals.begin() + structure.shapes.size());
-  if (want_h_opt) {
-    result.h_opt = SetFunction(n);
-    const VarSet full = FullSet(n);
-    for (VarSet s = 1; s <= full; ++s) result.h_opt[s] = lp.x[s - 1];
+  } else {
+    result.log2_bound = lp.objective;
+    result.weights.assign(lp.duals.begin(),
+                          lp.duals.begin() + structure.shapes.size());
   }
   return result;
 }
@@ -311,9 +305,9 @@ class CompiledGammaBound : public CompiledBound {
     }
     // The tableau owns the factorized basis that witness re-pricing and
     // warm dual-simplex re-solves run against; with the revised backend
-    // that is the LU factorization plus eta file of lp/lu_basis.h, so a
-    // witness evaluation is one FTRAN (BTRAN only on basis changes), not a
-    // dense objective-row read.
+    // that is the Forrest–Tomlin-updated LU factorization of
+    // lp/lu_basis.h, so a witness evaluation is one FTRAN (BTRAN only on
+    // basis changes), not a dense objective-row read.
     tableau_.emplace(lp_, options_.simplex);
   }
 
@@ -395,8 +389,7 @@ class CompiledGammaBound : public CompiledBound {
       }
     }
 
-    BoundResult result =
-        MakeGammaResult(lp_result, structure_, log_b, rounds, want_h_opt);
+    BoundResult result = GammaResult(lp_result, log_b, rounds, want_h_opt);
     result.lp_stats = stats_sum;
     if (cold_grew) result.eval_path = LpEvalPath::kCold;
     if (!full_mode_ && result.ok() &&
@@ -433,7 +426,7 @@ class CompiledGammaBound : public CompiledBound {
           std::copy(log_b.begin(), log_b.end(), rhs.begin());
         },
         [&](const LpResult& lp, const std::vector<double>& log_b) {
-          return MakeGammaResult(lp, structure_, log_b, 0, want_h_opt);
+          return GammaResult(lp, log_b, 0, want_h_opt);
         });
   }
 
@@ -496,8 +489,7 @@ class CompiledGammaBound : public CompiledBound {
         }
         // Cut-converged (or non-optimal, where the scalar path runs no cut
         // rounds either): the block result is the scalar result.
-        BoundResult result = MakeGammaResult(lp, structure_, log_b_batch[col],
-                                             0, want_h_opt);
+        BoundResult result = GammaResult(lp, log_b_batch[col], 0, want_h_opt);
         if (result.ok() &&
             result.log2_bound >= run[k][box_row_] * (1.0 - 1e-9)) {
           result.status = LpStatus::kUnbounded;
@@ -519,6 +511,21 @@ class CompiledGammaBound : public CompiledBound {
   }
 
  private:
+  // ResultFromLp plus the cut-round count and, when asked, h* read off the
+  // LP's h(S) columns.
+  BoundResult GammaResult(const LpResult& lp, const std::vector<double>& log_b,
+                          int cut_rounds, bool want_h_opt) const {
+    BoundResult result = ResultFromLp(lp, structure_, log_b);
+    result.cut_rounds = cut_rounds;
+    if (want_h_opt && result.ok()) {
+      const int n = structure_.n;
+      result.h_opt = SetFunction(n);
+      const VarSet full = FullSet(n);
+      for (VarSet s = 1; s <= full; ++s) result.h_opt[s] = lp.x[s - 1];
+    }
+    return result;
+  }
+
   void AddCut(const ShannonCut& cut) {
     present_.insert(cut.Key());
     lp_.AddConstraint(FormToTerms(cut.Form(structure_.n)), LpSense::kGe, 0.0);
@@ -581,7 +588,7 @@ class CompiledNormalBound : public CompiledBound {
       return StructurallyUnboundedResult(tableau_.backend());
     }
     BoundResult result =
-        ResultFromLp(tableau_.ResolveWithRhs(log_b), log_b, want_h_opt);
+        NormalResult(tableau_.ResolveWithRhs(log_b), log_b, want_h_opt);
     if (result.unbounded()) structurally_unbounded_ = true;
     return result;
   }
@@ -597,33 +604,19 @@ class CompiledNormalBound : public CompiledBound {
           rhs.assign(log_b.begin(), log_b.end());
         },
         [&](const LpResult& lp, const std::vector<double>& log_b) {
-          return ResultFromLp(lp, log_b, want_h_opt);
+          return NormalResult(lp, log_b, want_h_opt);
         });
   }
 
  private:
-  BoundResult ResultFromLp(const LpResult& lp, const std::vector<double>& log_b,
-                           bool want_h_opt) {
-    BoundResult result;
-    result.status = lp.status;
-    result.lp_iterations = lp.iterations;
-    result.eval_path = lp.path;
-    result.lp_backend = lp.backend;
-    result.lp_pricing = lp.pricing;
-    result.lp_stats = lp.stats;
-    if (lp.status == LpStatus::kUnbounded) {
-      result.log2_bound = kInfNorm;
-      return result;
-    }
-    if (lp.status != LpStatus::kOptimal) {
-      AnswerWithProductBound(structure_, log_b, result);
-      return result;
-    }
-    result.log2_bound = lp.objective;
-    result.weights = lp.duals;
-    if (want_h_opt) {
-      result.h_opt = SetFunction::NormalCombination(
-          structure_.n, NormalAlpha(structure_.n, columns_, lp.x));
+  // ResultFromLp plus, when asked, α* mapped back from the kept columns
+  // and h* = Σ_W α*_W h_W.
+  BoundResult NormalResult(const LpResult& lp, const std::vector<double>& log_b,
+                           bool want_h_opt) const {
+    BoundResult result = ResultFromLp(lp, structure_, log_b);
+    if (want_h_opt && result.ok()) {
+      result.alpha = NormalAlpha(structure_.n, columns_, lp.x);
+      result.h_opt = SetFunction::NormalCombination(structure_.n, result.alpha);
     }
     return result;
   }
@@ -668,12 +661,13 @@ class NormalEngine : public BoundEngine {
       const BoundStructure& structure,
       const EngineOptions& options) const override {
     assert(Supports(structure));
-    return std::make_unique<CompiledNormalBound>(structure, options);
+    return CompileNormalBound(structure, options);
   }
 };
 
 // ---------------------------------------------------------------------------
-// "auto": dispatch at compile time, mirroring LpNormBound's dispatch.
+// "auto": dispatch at compile time — normal when every shape is simple
+// (exact there, Theorem 6.1), gamma otherwise.
 
 class AutoEngine : public BoundEngine {
  public:
@@ -796,6 +790,11 @@ std::unique_ptr<CompiledBound> FilteredEngine::Compile(
 }
 
 }  // namespace
+
+std::unique_ptr<CompiledBound> CompileNormalBound(
+    const BoundStructure& structure, const EngineOptions& options) {
+  return std::make_unique<CompiledNormalBound>(structure, options);
+}
 
 bool IsAgmShape(const StatisticShape& shape) {
   return shape.p == 1.0 && shape.sigma.u == 0;

@@ -10,24 +10,25 @@
 // Shannon-feasible. (The Nn LP of normal_engine.h instead has one column
 // per non-dominated step function h_W — a few dozen, not 2^n − 1.)
 //
-// == Compile/evaluate architecture ==
+// == One pipeline: compile, then evaluate ==
 //
 // The bound LP factors cleanly into structure and values: the constraint
 // matrix depends only on the query's variable count and the statistic
 // *shapes* (σ = (V|U), p), while the concrete ℓp-norm values log_b enter
-// solely through the right-hand side. Two evaluation styles exploit this:
+// solely through the right-hand side. Every bound is computed one way
+// (bounds/bound_engine.h): a BoundEngine compiles a structure into a
+// CompiledBound whose Evaluate(log_b) first tries the cached dual witness
+// (the previous optimal basis, re-priced with one matrix-vector product
+// and a dot product), then a warm dual-simplex re-solve, then a cold
+// solve. CardinalityAdvisor keeps compiled bounds across calls, so a
+// query template estimated against many statistics snapshots pays for the
+// compile once.
 //
-//   * One-shot (this header): PolymatroidBound / NormalPolymatroidBound /
-//     LpNormBound build and solve a fresh LP per call. Use these for
-//     single bounds, for the worst-case-database α* coefficients, and in
-//     tests as the reference the compiled path must reproduce.
-//   * Compile-once / evaluate-many (bounds/bound_engine.h): a BoundEngine
-//     compiles a structure into a CompiledBound whose Evaluate(log_b)
-//     first tries the cached dual witness (the previous optimal basis,
-//     re-priced with one matrix-vector product and a dot product), then a
-//     warm dual-simplex re-solve, then a cold solve. Use this — via
-//     CardinalityAdvisor — whenever the same query template is estimated
-//     against many statistics snapshots.
+// PolymatroidBound / NormalPolymatroidBound / LpNormBound are convenience
+// wrappers for a single bound: compile the statistics' structure, evaluate
+// it once at their values, and drop the compiled bound. They answer
+// exactly what the compiled path answers, including its sound fallback
+// when the LP fails.
 //
 // == Engine selection ==
 //
@@ -35,9 +36,9 @@
 //     statistic is simple (|U| <= 1, Theorem 6.1) — the common case of
 //     per-join-column degree sequences; scales to n = 20. Unsound for
 //     non-simple statistics.
-//   * "gamma" (Γn, this header): the general engine. Full elemental
-//     lattice for n <= full_lattice_max_n, cutting-plane beyond that
-//     (experimental past n ≈ 7; see EngineOptions).
+//   * "gamma" (Γn; PolymatroidBound below): the general engine. Full
+//     elemental lattice for n <= full_lattice_max_n, cutting-plane beyond
+//     that (experimental past n ≈ 7; see EngineOptions).
 //   * "auto": normal when all shapes are simple, gamma otherwise — what
 //     the advisor uses.
 //   * "agm" / "panda": the classic special cases, as shape filters on top
@@ -77,19 +78,25 @@ struct BoundResult {
   // log2 of the output-size bound; +infinity when the statistics do not
   // bound the query at all (LP unbounded).
   double log2_bound = 0.0;
-  // True when the LP failed (neither optimal nor unbounded) and a compiled
-  // bound answered with the product bound instead (bounds/bound_engine.h):
-  // sound, usually loose, and carrying no weights or h*.
+  // True when the LP failed (neither optimal nor unbounded) and the bound
+  // answered with the product bound instead (bounds/bound_engine.h):
+  // sound, usually loose, and carrying no weights, h* or α*.
   bool fallback = false;
   // Dual weight w_i per input statistic: the coefficients of the witness
   // Σ-inequality (8) certifying the bound; Σ_i w_i log_b_i == log2_bound.
   std::vector<double> weights;
   // The optimal polymatroid h* (lower-bound witness of Theorem 5.2).
   SetFunction h_opt;
+  // The Nn engine's optimal step-function coefficients α*_W, indexed by
+  // VarSet (entry 0 unused; 0 at every W its presolve dropped), so that
+  // h_opt == Σ_W alpha[W] · h_W. Filled whenever that engine fills h_opt
+  // and empty otherwise; BuildWorstCaseDatabase (bounds/worst_case.h)
+  // consumes it.
+  std::vector<double> alpha;
   int cut_rounds = 0;
   int lp_iterations = 0;
-  // How the underlying LP was evaluated. Always kCold for the one-shot
-  // entry points; CompiledBound::Evaluate reports witness/warm reuse here.
+  // How the underlying LP was evaluated: witness reuse, warm re-solve or
+  // cold solve (a compiled bound's first evaluation is always cold).
   LpEvalPath eval_path = LpEvalPath::kCold;
   // Which LP backend served this bound (dense tableau or revised simplex);
   // surfaced through CardinalityAdvisor::Explain.
@@ -109,7 +116,8 @@ struct BoundResult {
 
 // Computes the polymatroid bound over n query variables from the given
 // concrete statistics (each statistic contributes the constraint
-// (1/p)h(U) + h(V|U) <= log_b, Lemma 4.1).
+// (1/p)h(U) + h(V|U) <= log_b, Lemma 4.1): the "gamma" engine compiled
+// for the statistics' structure and evaluated once at their values.
 BoundResult PolymatroidBound(int n, const std::vector<ConcreteStatistic>& stats,
                              const EngineOptions& options = {});
 

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 #include <utility>
 
-#include "lp/simplex.h"
 #include "relation/degree_sequence.h"
 
 namespace lpb {
@@ -70,16 +70,22 @@ NormalBoundLp BuildNormalBoundLp(int n,
 
   // Emit the kept columns in ascending W, the full LP's column order, so
   // the solvers' index tie-breaks meet them in the order they always did.
-  std::sort(columns.begin(), columns.end());
+  // Their coefficients come straight from `kept`, via the scan index.
+  std::vector<size_t> emit(columns.size());
+  std::iota(emit.begin(), emit.end(), size_t{0});
+  std::sort(emit.begin(), emit.end(),
+            [&](size_t a, size_t b) { return columns[a] < columns[b]; });
   const int num_vars = static_cast<int>(columns.size());
-  // maximize Σ_W α_W  (h_W(X) = 1 for every nonempty W)
-  NormalBoundLp out{LpProblem(num_vars), std::move(columns)};
   std::vector<std::vector<LpTerm>> terms(rows);
+  for (std::vector<LpTerm>& row : terms) row.reserve(num_vars);
+  // maximize Σ_W α_W  (h_W(X) = 1 for every nonempty W)
+  NormalBoundLp out{LpProblem(num_vars), std::vector<VarSet>(num_vars)};
   for (int j = 0; j < num_vars; ++j) {
     out.lp.SetObjective(j, 1.0);
-    ColumnCoefficients(out.columns[j], stats, inv_p, coefs);
+    out.columns[j] = columns[emit[j]];
+    const double* coef = kept.data() + emit[j] * rows;
     for (size_t i = 0; i < rows; ++i) {
-      if (coefs[i] != 0.0) terms[i].push_back({j, coefs[i]});
+      if (coef[i] != 0.0) terms[i].push_back({j, coef[i]});
     }
   }
   for (size_t i = 0; i < rows; ++i) {
@@ -95,41 +101,23 @@ std::vector<double> NormalAlpha(int n, const std::vector<VarSet>& columns,
   return alpha;
 }
 
-NormalBoundResult NormalPolymatroidBound(
-    int n, const std::vector<ConcreteStatistic>& stats, bool require_simple,
-    const SimplexOptions& simplex) {
+BoundResult NormalPolymatroidBound(int n,
+                                   const std::vector<ConcreteStatistic>& stats,
+                                   bool require_simple,
+                                   const SimplexOptions& simplex) {
   assert(n >= 1 && n <= kMaxVars);
   if (require_simple) assert(AllSimple(stats));
-
-  const NormalBoundLp lp = BuildNormalBoundLp(n, stats);
-  LpResult lp_result = SolveLp(lp.lp, simplex);
-  NormalBoundResult result;
-  result.base.status = lp_result.status;
-  result.base.lp_iterations = lp_result.iterations;
-  result.base.lp_backend = lp_result.backend;
-  result.base.lp_pricing = lp_result.pricing;
-  result.base.lp_stats = lp_result.stats;
-  if (lp_result.status == LpStatus::kUnbounded) {
-    result.base.log2_bound = kInfNorm;
-    return result;
-  }
-  if (lp_result.status != LpStatus::kOptimal) return result;
-
-  result.base.log2_bound = lp_result.objective;
-  result.base.weights = lp_result.duals;
-  result.alpha = NormalAlpha(n, lp.columns, lp_result.x);
-  result.base.h_opt = SetFunction::NormalCombination(n, result.alpha);
-  return result;
+  EngineOptions options;
+  options.simplex = simplex;
+  return CompileNormalBound(StructureOf(n, stats), options)
+      ->Evaluate(ValuesOf(stats));
 }
 
 BoundResult LpNormBound(int n, const std::vector<ConcreteStatistic>& stats,
                         const EngineOptions& options) {
-  if (AllSimple(stats)) {
-    return NormalPolymatroidBound(n, stats, /*require_simple=*/true,
-                                  options.simplex)
-        .base;
-  }
-  return PolymatroidBound(n, stats, options);
+  return FindBoundEngine("auto")
+      ->Compile(StructureOf(n, stats), options)
+      ->Evaluate(ValuesOf(stats));
 }
 
 }  // namespace lpb

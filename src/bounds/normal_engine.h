@@ -22,32 +22,36 @@
 //
 // CAUTION: for non-simple statistics Nn ⊊ Γn makes this a lower bound on
 // the polymatroid bound, NOT a valid output-size bound; callers must check
-// AllSimple() (NormalPolymatroidBound asserts it unless told otherwise).
+// AllSimple() (the "normal" engine asserts it on Compile, and
+// NormalPolymatroidBound unless told otherwise).
 #ifndef LPB_BOUNDS_NORMAL_ENGINE_H_
 #define LPB_BOUNDS_NORMAL_ENGINE_H_
 
+#include <memory>
 #include <vector>
 
-#include "bounds/engine.h"
+#include "bounds/bound_engine.h"
 #include "lp/lp_problem.h"
 #include "stats/statistic.h"
 #include "util/bits.h"
 
 namespace lpb {
 
-struct NormalBoundResult {
-  BoundResult base;
-  // Optimal step-function coefficients α*_W, indexed by VarSet (entry 0
-  // unused; 0 at every W the presolve dropped). h_opt == Σ_W alpha[W] · h_W.
-  std::vector<double> alpha;
-};
+// Computes max h(X) over normal polymatroids satisfying the statistics:
+// the Nn bound compiled for the statistics' structure and evaluated once
+// at their values, with α* in BoundResult::alpha. If `require_simple`
+// (default), asserts AllSimple(stats). `simplex` selects the LP solver
+// configuration/backend (lp/simplex.h).
+BoundResult NormalPolymatroidBound(int n,
+                                   const std::vector<ConcreteStatistic>& stats,
+                                   bool require_simple = true,
+                                   const SimplexOptions& simplex = {});
 
-// Computes max h(X) over normal polymatroids satisfying the statistics.
-// If `require_simple` (default), asserts AllSimple(stats). `simplex`
-// selects the LP solver configuration/backend (lp/simplex.h).
-NormalBoundResult NormalPolymatroidBound(
-    int n, const std::vector<ConcreteStatistic>& stats,
-    bool require_simple = true, const SimplexOptions& simplex = {});
+// Compiles the Nn bound of a structure without the "normal" engine's
+// simple-shapes check: for non-simple shapes the result is the Nn optimum,
+// a lower bound on the polymatroid bound (see CAUTION above).
+std::unique_ptr<CompiledBound> CompileNormalBound(
+    const BoundStructure& structure, const EngineOptions& options);
 
 // The Nn LP: maximize Σ_W α_W over α >= 0 with one <= row per statistic
 // (rhs = stat.log_b), in statistics order, and one column per
@@ -72,9 +76,8 @@ NormalBoundLp BuildNormalBoundLp(int n,
 std::vector<double> NormalAlpha(int n, const std::vector<VarSet>& columns,
                                 const std::vector<double>& x);
 
-// Convenience dispatcher: uses the normal engine when all statistics are
-// simple (valid and fast, Theorem 6.1), otherwise the Γn cutting-plane
-// engine.
+// The "auto" engine evaluated once: the normal engine when all statistics
+// are simple (valid and fast, Theorem 6.1), otherwise the Γn engine.
 BoundResult LpNormBound(int n, const std::vector<ConcreteStatistic>& stats,
                         const EngineOptions& options = {});
 

@@ -29,8 +29,9 @@ struct SensitivityEntry {
 };
 
 // Per-statistic sensitivities for a solved bound. `result.h_opt` and
-// `result.weights` must come from PolymatroidBound / NormalPolymatroidBound
-// on exactly these statistics.
+// `result.weights` must come from an optimal evaluation with h* (any
+// engine's CompiledBound::Evaluate with want_h_opt, or a wrapper such as
+// PolymatroidBound) on exactly these statistics.
 std::vector<SensitivityEntry> AnalyzeSensitivity(
     const BoundResult& result, const std::vector<ConcreteStatistic>& stats,
     double eps = 1e-6);

@@ -1,10 +1,10 @@
-// Elemental-inequality cut oracle shared by the Γn bound engines.
+// Elemental-inequality cut oracle of the Γn bound engine.
 //
-// The cutting-plane mode of the polymatroid bound (bounds/engine.cc) and
-// its compiled counterpart (bounds/bound_engine.cc) relax Γn to a growing
-// set of elemental Shannon inequalities. This header holds the pieces both
-// need: the cut representation, the violation scan, the seed cut set, and
-// the statistics-derived box that keeps the relaxation bounded.
+// The cutting-plane mode of the compiled Γn bound (bounds/bound_engine.cc)
+// relaxes Γn to a growing set of elemental Shannon inequalities. This
+// header holds the pieces it needs: the cut representation, the violation
+// scan, the seed cut set, and the statistics-derived box that keeps the
+// relaxation bounded.
 #ifndef LPB_BOUNDS_SHANNON_CUTS_H_
 #define LPB_BOUNDS_SHANNON_CUTS_H_
 

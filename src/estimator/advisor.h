@@ -144,13 +144,12 @@ struct AdvisorMetrics {
   uint64_t norm_shard_locks = 0;
   // LP solver work behind the estimates, summed from BoundResult::lp_stats
   // (lp/simplex.h): simplex pivots across all phases, basis
-  // refactorizations, Forrest–Tomlin vs product-form eta updates taken,
-  // and Devex reference resets. bench_throughput surfaces these so the CI
-  // perf gate can assert on iteration counts, not just wall-clock.
+  // refactorizations, Forrest–Tomlin updates taken, and Devex reference
+  // resets. bench_throughput surfaces these so the CI perf gate can assert
+  // on iteration counts, not just wall-clock.
   uint64_t lp_pivots = 0;
   uint64_t lp_refactorizations = 0;
   uint64_t lp_ft_updates = 0;
-  uint64_t lp_eta_updates = 0;
   uint64_t lp_devex_resets = 0;
   // Cut-growth accounting for the Γn cutting-plane engine: rounds whose new
   // cut rows were appended onto the live basis (vs rebuilt cold), the dual
@@ -342,7 +341,6 @@ class CardinalityAdvisor {
   std::atomic<uint64_t> lp_pivots_{0};
   std::atomic<uint64_t> lp_refactorizations_{0};
   std::atomic<uint64_t> lp_ft_updates_{0};
-  std::atomic<uint64_t> lp_eta_updates_{0};
   std::atomic<uint64_t> lp_devex_resets_{0};
   std::atomic<uint64_t> lp_warm_cut_rounds_{0};
   std::atomic<uint64_t> lp_dual_repair_pivots_{0};

@@ -114,29 +114,6 @@ PricingRule ResolveLpPricing(const SimplexOptions& options) {
   return PricingRule::kDantzig;
 }
 
-const char* BasisUpdateName(BasisUpdateKind kind) {
-  switch (kind) {
-    case BasisUpdateKind::kDefault:
-      return "default";
-    case BasisUpdateKind::kEta:
-      return "eta";
-    case BasisUpdateKind::kForrestTomlin:
-      return "ft";
-  }
-  return "unknown";
-}
-
-BasisUpdateKind ResolveBasisUpdate(const SimplexOptions& options) {
-  if (options.basis_update != BasisUpdateKind::kDefault) {
-    return options.basis_update;
-  }
-  const char* env = std::getenv("LPB_LP_UPDATE");
-  if (env != nullptr && std::strcmp(env, "eta") == 0) {
-    return BasisUpdateKind::kEta;
-  }
-  return BasisUpdateKind::kForrestTomlin;
-}
-
 const char* SimdModeName(SimdMode mode) {
   switch (mode) {
     case SimdMode::kDefault:

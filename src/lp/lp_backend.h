@@ -150,10 +150,6 @@ LpBackendKind ResolveLpBackend(const SimplexOptions& options);
 // else falls back to dantzig). Never returns kDefault.
 PricingRule ResolveLpPricing(const SimplexOptions& options);
 
-// Resolves kDefault against LPB_LP_UPDATE ("eta" / "ft"; anything else
-// falls back to Forrest–Tomlin). Never returns kDefault.
-BasisUpdateKind ResolveBasisUpdate(const SimplexOptions& options);
-
 // Resolves kDefault against LPB_LP_SIMD ("auto" / "scalar"; anything else
 // falls back to auto). Never returns kDefault.
 SimdMode ResolveSimdMode(const SimplexOptions& options);

@@ -20,11 +20,8 @@ RevisedSimplex::RevisedSimplex(const LpProblem& problem,
     : problem_(problem),
       options_(options),
       pricing_(ResolveLpPricing(options)),
-      update_kind_(ResolveBasisUpdate(options)),
       kernels_(&GetLpKernels(ResolveSimdMode(options))) {
   LuOptions lu_options;
-  lu_options.forrest_tomlin =
-      update_kind_ == BasisUpdateKind::kForrestTomlin;
   lu_options.max_updates = options_.max_basis_updates;
   lu_ = LuBasis(lu_options);
 }
@@ -405,7 +402,7 @@ bool RevisedSimplex::ApplyPivot(int enter, int leave_slot,
   // = w, so each cached column updates in place with one product-form
   // sweep (below). Only the refactorizing paths flush the memo, which
   // also bounds its accumulated drift by the refactorization cadence —
-  // the same bound the FT/eta updates themselves live under.
+  // the same bound the FT updates themselves live under.
   reprice_valid_ = false;
   witness_scan_ok_ = false;
   MarkBasisChanged();  // covers both the pivot and the rollback below
@@ -413,22 +410,17 @@ bool RevisedSimplex::ApplyPivot(int enter, int leave_slot,
   in_basis_[out] = kNoCol;
   basis_[leave_slot] = enter;
   in_basis_[enter] = leave_slot;
-  // Basis update — Forrest–Tomlin rewrites U in place, the legacy mode
-  // appends a product-form eta. On rejection (unstable update) or an
-  // exhausted update/fill budget, refactorize against the new basis
-  // header. Refactorization also recomputes the basic values from b_,
-  // squashing accumulated drift.
+  // Basis update — Forrest–Tomlin rewrites U in place. On rejection
+  // (unstable update) or an exhausted update/fill budget, refactorize
+  // against the new basis header. Refactorization also recomputes the
+  // basic values from b_, squashing accumulated drift.
   // spike_ is the pre-U intermediate the entering column's FTRAN captured
   // (every ApplyPivot call site FTRANs the entering column immediately
   // before, with no factorization change in between), so the update skips
   // its own forward solve.
   const bool updated = lu_.Update(a_, enter, w, leave_slot, &spike_);
   if (updated) {
-    if (update_kind_ == BasisUpdateKind::kForrestTomlin) {
-      ++stats_.ft_updates;
-    } else {
-      ++stats_.eta_updates;
-    }
+    ++stats_.ft_updates;
   } else {
     ++stats_.rejected_updates;
   }
@@ -437,7 +429,7 @@ bool RevisedSimplex::ApplyPivot(int enter, int leave_slot,
     std::fill(binv_valid_.begin(), binv_valid_.end(), 0);
     if (!lu_.Factorize(a_, basis_)) {
       // The post-pivot basis is numerically singular: the pivot element
-      // cleared eps only through drift in the eta stack. Roll the header
+      // cleared eps only through drift in the update chain. Roll the header
       // back and rebuild the previous basis, which factorized before.
       in_basis_[enter] = kNoCol;
       basis_[leave_slot] = out;
@@ -582,7 +574,7 @@ bool RevisedSimplex::RunPhase(const std::vector<double>& cost,
     if (!ApplyPivot(enter, leave, w_)) {
       if (numerical_failure_) return false;
       // The pivot was drift: the rolled-back basis has just been
-      // refactorized (accurate, eta-free), so re-price and retry — the
+      // refactorized (accurate, update-free), so re-price and retry — the
       // honest FTRAN image usually prices the column out or picks a real
       // pivot. Freezing is a last resort after repeated rejections, since
       // wrongly freezing a live column (e.g. the objective variable)
@@ -1187,8 +1179,8 @@ bool RevisedSimplex::AddConstraintsWarm(const std::vector<LpConstraint>& rows,
   for (int i = 0; i < rows_; ++i) b_[i] = NormalizedRhs(i, rhs);
 
   // Grow the LU factorization by the bordered slack columns; refactorize
-  // when the growth is refused (pending legacy etas, degenerate layout) or
-  // the appended fill trips the budget. The grown basis [[B,0],[C,I]] is
+  // when the growth is refused (degenerate layout) or the appended fill
+  // trips the budget. The grown basis [[B,0],[C,I]] is
   // nonsingular whenever B was, so a refactorization failure here is a
   // genuine numerical breakdown — handled by the cold fallback below.
   iterations_ = 0;

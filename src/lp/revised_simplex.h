@@ -10,7 +10,6 @@
 //                                     c_j - y·A_j, an O(nnz(A_j)) dot
 //   FTRAN  w = B⁻¹ A_enter            the pivot column, for the ratio test
 //   update B := B'                    Forrest–Tomlin in-place U rewrite
-//                                     (or a product-form eta, per options)
 //
 // so an iteration costs O(nnz(A) + m + update work) instead of the dense
 // tableau's O(rows x cols) sweep — the difference between grinding and
@@ -219,7 +218,7 @@ class RevisedSimplex : public LpBackendImpl {
   // of the entering column; updates basic values and the factorization.
   // Returns false — with the previous basis restored and refactorized —
   // when the post-pivot basis turns out numerically singular (the pivot
-  // element only looked acceptable through eta-stack drift); the caller
+  // element only looked acceptable through update-chain drift); the caller
   // must not retry the same entering column.
   bool ApplyPivot(int enter, int leave_slot, const std::vector<Scalar>& w);
   void EvictArtificials();
@@ -239,7 +238,6 @@ class RevisedSimplex : public LpBackendImpl {
   LpProblem problem_;
   SimplexOptions options_;
   PricingRule pricing_ = PricingRule::kDantzig;        // resolved, pinned
-  BasisUpdateKind update_kind_ = BasisUpdateKind::kForrestTomlin;
   const LpKernels* kernels_;  // dispatch table per SimplexOptions::simd
 
   int rows_ = 0;

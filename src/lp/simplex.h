@@ -58,17 +58,6 @@ enum class PricingRule { kDefault, kDantzig, kDevex };
 // "dantzig" / "devex"; kDefault renders as "default".
 const char* PricingRuleName(PricingRule rule);
 
-// How the revised backend's LU basis absorbs a pivot (lp/lu_basis.h).
-//   kDefault       — consult LPB_LP_UPDATE ("eta" or "ft"); Forrest–Tomlin
-//                    when unset.
-//   kForrestTomlin — rewrite U in place (spike column + row elimination);
-//                    long update chains between refactorizations.
-//   kEta           — legacy product-form eta file (refactorize-on-threshold).
-enum class BasisUpdateKind { kDefault, kEta, kForrestTomlin };
-
-// "eta" / "ft"; kDefault renders as "default".
-const char* BasisUpdateName(BasisUpdateKind kind);
-
 // SIMD dispatch of the double-precision LP kernels (lp/kernels.h).
 //   kDefault — consult LPB_LP_SIMD ("auto" or "scalar"); auto when unset.
 //              Like the other kDefault knobs, this is the only value that
@@ -131,7 +120,6 @@ struct LpSolveStats {
   int dual_pivots = 0;        // dual-simplex (warm repair) pivots
   int refactorizations = 0;   // full LU factorizations after the first
   int ft_updates = 0;         // Forrest–Tomlin in-place U updates taken
-  int eta_updates = 0;        // product-form eta updates taken
   int rejected_updates = 0;   // updates refused (unstable), forcing refactor
   int devex_resets = 0;       // Devex reference-framework resets
   // Warm cut-round accounting (see AddConstraintsWarm in lp/lp_backend.h).
@@ -162,7 +150,6 @@ struct LpSolveStats {
     dual_pivots = 0;
     refactorizations = 0;
     ft_updates = 0;
-    eta_updates = 0;
     rejected_updates = 0;
     devex_resets = 0;
     warm_cut_rounds = 0;
@@ -176,7 +163,6 @@ struct LpSolveStats {
     dual_pivots += o.dual_pivots;
     refactorizations += o.refactorizations;
     ft_updates += o.ft_updates;
-    eta_updates += o.eta_updates;
     rejected_updates += o.rejected_updates;
     devex_resets += o.devex_resets;
     warm_cut_rounds += o.warm_cut_rounds;
@@ -234,12 +220,9 @@ struct SimplexOptions {
   // dense tableau, which always runs Dantzig). kDefault reads
   // LPB_LP_PRICING and falls back to Dantzig; set kDantzig/kDevex to pin.
   PricingRule pricing = PricingRule::kDefault;
-  // Basis-update scheme of the revised backend (ignored by dense).
-  // kDefault reads LPB_LP_UPDATE and falls back to Forrest–Tomlin.
-  BasisUpdateKind basis_update = BasisUpdateKind::kDefault;
-  // Basis updates carried between full refactorizations (revised backend).
-  // 0 = automatic: 64 for Forrest–Tomlin, 32 for the eta file. The fill
-  // budget in lp/lu_basis.h can force an earlier refactorization either way.
+  // Forrest–Tomlin basis updates carried between full refactorizations
+  // (revised backend; ignored by dense). 0 = automatic (64). The fill
+  // budget in lp/lu_basis.h can force an earlier refactorization.
   int max_basis_updates = 0;
   // SIMD dispatch of the double-precision kernels (lp/kernels.h). kDefault
   // reads LPB_LP_SIMD and falls back to kAuto; results are bit-identical

@@ -2,7 +2,7 @@
 // Zipf-skewed relations (util/zipf.h).
 //
 // Three laws every bound engine must obey, checked under both LP backends
-// (dense tableau and revised simplex):
+// (dense tableau and revised simplex), plus soundness when the LP fails:
 //   * soundness   — every bound upper-bounds the true join size computed
 //                   by the worst-case-optimal join (exec/generic_join.h);
 //   * monotonicity — the bound LP is a relaxation in each ℓp-norm input:
@@ -10,16 +10,19 @@
 //                   lowering it weakly lowers it;
 //   * dominance   — AGM uses only the cardinality subset of the
 //                   statistics, so whenever both bounds apply the AGM
-//                   bound is at least the full ℓp-norm bound.
+//                   bound is at least the full ℓp-norm bound;
+//   * failure     — an LP stopped short still answers with an upper bound.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bounds/bound_engine.h"
 #include "bounds/engine.h"
 #include "bounds/normal_engine.h"
+#include "datagen/job_gen.h"
 #include "exec/generic_join.h"
 #include "query/query.h"
 #include "relation/catalog.h"
@@ -205,6 +208,41 @@ TEST(BoundProperties, AgmDominatesLpNormBound) {
     }
   }
   EXPECT_GT(comparable, 8);
+}
+
+// One simplex iteration is too few for any JOB template's bound LP, so
+// every entry point must fall back — and the fallback (the product bound
+// over the cardinality statistics) must still bound the true join size.
+TEST(BoundProperties, FailedLpsAnswerWithASoundBound) {
+  JobWorkloadOptions opt;
+  opt.scale = 0.05;
+  const JobWorkload wl = GenerateJobWorkload(opt);
+  for (LpBackendKind backend : kBackends) {
+    EngineOptions full = BackendOptions(backend);
+    full.simplex.max_iterations = 1;
+    EngineOptions cutting = full;
+    cutting.full_lattice_max_n = 0;  // force cutting-plane mode
+    for (size_t i = 0; i < 5; ++i) {
+      const Query& q = wl.queries[i];
+      const int n = q.num_vars();
+      const auto stats = CollectStatistics(q, wl.catalog);
+      const uint64_t truth = CountJoin(q, wl.catalog);
+      ASSERT_GT(truth, 0u) << q.name();
+      const double log2_truth = std::log2(static_cast<double>(truth));
+      const std::pair<const char*, BoundResult> results[] = {
+          {"gamma full lattice", PolymatroidBound(n, stats, full)},
+          {"gamma cutting", PolymatroidBound(n, stats, cutting)},
+          {"normal", NormalPolymatroidBound(n, stats, true, full.simplex)},
+          {"lp-norm", LpNormBound(n, stats, full)},
+      };
+      for (const auto& [label, result] : results) {
+        const std::string context = q.name() + " " + label + " " +
+                                    LpBackendName(backend);
+        EXPECT_TRUE(result.fallback) << context;
+        EXPECT_GE(result.log2_bound, log2_truth - 1e-6) << context;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -161,9 +161,9 @@ TEST(CompiledBound, RandomSimpleInstancesMatchBothEngines) {
       // Simple statistics: Γn and Nn agree (Theorem 6.1) and the compiled
       // paths must reproduce both.
       const BoundResult gamma_ref = PolymatroidBound(n, stats);
-      const NormalBoundResult normal_ref = NormalPolymatroidBound(n, stats);
-      ASSERT_EQ(gamma_ref.status, normal_ref.base.status) << context;
-      ExpectMatchesReference(*compiled_auto, stats, normal_ref.base, context);
+      const BoundResult normal_ref = NormalPolymatroidBound(n, stats);
+      ASSERT_EQ(gamma_ref.status, normal_ref.status) << context;
+      ExpectMatchesReference(*compiled_auto, stats, normal_ref, context);
       ExpectMatchesReference(*compiled_gamma, stats, gamma_ref, context);
     }
   }
@@ -174,7 +174,7 @@ TEST(CompiledBound, UnboundedStructureStaysUnbounded) {
   // every value, and after the first verdict the compiled bound
   // short-circuits without solving.
   std::vector<ConcreteStatistic> stats = {Stat(0b01, 0b10, kInfNorm, 5.0)};
-  ASSERT_TRUE(NormalPolymatroidBound(2, stats).base.unbounded());
+  ASSERT_TRUE(NormalPolymatroidBound(2, stats).unbounded());
   auto compiled = FindBoundEngine("auto")->Compile(StructureOf(2, stats));
   BoundResult first = compiled->Evaluate({5.0});
   EXPECT_TRUE(first.unbounded());

@@ -313,9 +313,9 @@ TEST(NormalEngine, MatchesPolymatroidOnSimpleStats) {
     if (stats.empty()) continue;
     auto rn = NormalPolymatroidBound(n, stats);
     auto rp = PolymatroidBound(n, stats);
-    ASSERT_EQ(rn.base.status, rp.status) << "trial " << trial;
+    ASSERT_EQ(rn.status, rp.status) << "trial " << trial;
     if (!rp.ok()) continue;
-    EXPECT_NEAR(rn.base.log2_bound, rp.log2_bound, 1e-5) << "trial " << trial;
+    EXPECT_NEAR(rn.log2_bound, rp.log2_bound, 1e-5) << "trial " << trial;
   }
 }
 
@@ -323,10 +323,10 @@ TEST(NormalEngine, AlphaReconstructsOptimum) {
   std::vector<ConcreteStatistic> stats = {
       Stat(0, 0b011, 1.0, 8.0), Stat(0b010, 0b100, kInfNorm, 3.0)};
   auto r = NormalPolymatroidBound(3, stats);
-  ASSERT_TRUE(r.base.ok());
+  ASSERT_TRUE(r.ok());
   SetFunction h = SetFunction::NormalCombination(3, r.alpha);
-  EXPECT_LT(h.MaxDiff(r.base.h_opt), 1e-9);
-  EXPECT_NEAR(h[FullSet(3)], r.base.log2_bound, 1e-7);
+  EXPECT_LT(h.MaxDiff(r.h_opt), 1e-9);
+  EXPECT_NEAR(h[FullSet(3)], r.log2_bound, 1e-7);
   for (double a : r.alpha) EXPECT_GE(a, -1e-9);
 }
 
@@ -339,9 +339,9 @@ TEST(NormalEngine, NonSimpleUnderestimates) {
   };
   auto rn = NormalPolymatroidBound(3, stats, /*require_simple=*/false);
   auto rp = PolymatroidBound(3, stats);
-  ASSERT_TRUE(rn.base.ok());
+  ASSERT_TRUE(rn.ok());
   ASSERT_TRUE(rp.ok());
-  EXPECT_LE(rn.base.log2_bound, rp.log2_bound + 1e-7);
+  EXPECT_LE(rn.log2_bound, rp.log2_bound + 1e-7);
 }
 
 TEST(NormalEngine, DispatcherPicksNormalForSimple) {
@@ -350,7 +350,7 @@ TEST(NormalEngine, DispatcherPicksNormalForSimple) {
   auto r = LpNormBound(3, stats);
   auto rn = NormalPolymatroidBound(3, stats);
   ASSERT_TRUE(r.ok());
-  EXPECT_NEAR(r.log2_bound, rn.base.log2_bound, 1e-9);
+  EXPECT_NEAR(r.log2_bound, rn.log2_bound, 1e-9);
 }
 
 // --- PANDA / AGM specializations on the cycle (Example 2.3 / C.5) ---------

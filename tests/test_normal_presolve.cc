@@ -145,14 +145,14 @@ TEST_P(NormalPresolve, MatchesFullWidthLpOnRandomSimpleStructures) {
       EXPECT_LE(lhs, s.log_b + RelTol(s.log_b));
     }
 
-    // The one-shot entry point and the compiled engine agree with the
+    // The convenience wrapper and the compiled engine agree with the
     // full LP, and h*(X) is the bound.
-    const NormalBoundResult one_shot =
+    const BoundResult one_shot =
         NormalPolymatroidBound(n, stats, /*require_simple=*/true, Options());
-    EXPECT_NEAR(one_shot.base.log2_bound, wide.objective,
+    EXPECT_NEAR(one_shot.log2_bound, wide.objective,
                 RelTol(wide.objective));
-    EXPECT_NEAR(one_shot.base.h_opt[full], one_shot.base.log2_bound,
-                RelTol(one_shot.base.log2_bound));
+    EXPECT_NEAR(one_shot.h_opt[full], one_shot.log2_bound,
+                RelTol(one_shot.log2_bound));
     EngineOptions engine;
     engine.simplex = Options();
     auto compiled = FindBoundEngine("normal")->Compile(StructureOf(n, stats),
@@ -180,7 +180,7 @@ TEST_P(NormalPresolve, UntouchedVariableLeavesOnlyTheZeroColumn) {
   ASSERT_EQ(reduced.columns, std::vector<VarSet>{0b100});
   EXPECT_EQ(SolveLp(reduced.lp, Options()).status, LpStatus::kUnbounded);
   EXPECT_TRUE(
-      NormalPolymatroidBound(3, stats, true, Options()).base.unbounded());
+      NormalPolymatroidBound(3, stats, true, Options()).unbounded());
 }
 
 TEST_P(NormalPresolve, ExplainOptimumMatchesBoundOnJobTemplates) {

@@ -410,19 +410,6 @@ TEST(LuBasisForrestTomlin, UpdateBudgetTripsNeedsRefactorize) {
   EXPECT_EQ(lu.update_count(), 0);
 }
 
-TEST(LuBasisForrestTomlin, LegacyEtaModeStillWorks) {
-  SparseMatrix a = FtTestMatrix();
-  std::vector<int> basis = {0, 1, 2, 3, 4};
-  LuOptions options;
-  options.forrest_tomlin = false;
-  LuBasis lu(options);
-  ASSERT_TRUE(lu.Factorize(a, basis));
-  const std::vector<Scalar> w = FtranColumn(lu, a, 5);
-  ASSERT_TRUE(lu.Update(a, 5, w, 2));
-  basis[2] = 5;
-  ExpectSameSolves(lu, a, basis, "eta update");
-}
-
 // The bound-LP shape: homogeneous >= rows (Shannon cuts) whose RHS stays 0
 // while only the statistics rows move. The warm path must re-price the RHS
 // using only the nonzero entries.

@@ -467,7 +467,7 @@ TEST(SimplexDifferential, ForrestTomlinCarriesLongUpdateChains) {
   Rng rng(HarnessSeed() ^ 0xfeedull);
   const int n = 7;
   const std::vector<ConcreteStatistic> stats = RandomSimpleStats(rng, n, 10);
-  const BoundResult reference = NormalPolymatroidBound(n, stats).base;
+  const BoundResult reference = NormalPolymatroidBound(n, stats);
   ASSERT_EQ(reference.status, LpStatus::kOptimal);
 
   for (PricingRule rule : {PricingRule::kDantzig, PricingRule::kDevex}) {
@@ -487,10 +487,8 @@ TEST(SimplexDifferential, ForrestTomlinCarriesLongUpdateChains) {
         << context;
     // The chains actually ran long: hundreds of FT updates total, and the
     // only refactorizations left are fill-budget or stability-forced ones
-    // — far fewer than the update count (the 32-pivot eta cadence would
-    // have refactorized ~once per 32 updates).
+    // — far fewer than the update count.
     EXPECT_GE(result.lp_stats.ft_updates, 100) << context;
-    EXPECT_EQ(result.lp_stats.eta_updates, 0) << context;
     EXPECT_LT(result.lp_stats.refactorizations,
               result.lp_stats.ft_updates / 50 + 5)
         << context << " refac=" << result.lp_stats.refactorizations
@@ -507,7 +505,7 @@ TEST(SimplexDifferential, RevisedCompilesGammaCuttingPlaneAtN8) {
   Rng rng(HarnessSeed() ^ 0x5151ull);
   const int n = 8;
   const std::vector<ConcreteStatistic> stats = RandomSimpleStats(rng, n, 12);
-  const BoundResult reference = NormalPolymatroidBound(n, stats).base;
+  const BoundResult reference = NormalPolymatroidBound(n, stats);
   ASSERT_EQ(reference.status, LpStatus::kOptimal);
 
   EngineOptions cut;

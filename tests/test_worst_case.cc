@@ -91,14 +91,14 @@ TEST(WorstCase, Example67WorstCaseInstanceAchievesBound) {
       Stat(0, VarBit(q.VarIndex("Z")), 1.0, b),
   };
   auto bound = NormalPolymatroidBound(q.num_vars(), stats);
-  ASSERT_TRUE(bound.base.ok());
-  EXPECT_NEAR(bound.base.log2_bound, b, 1e-6);
+  ASSERT_TRUE(bound.ok());
+  EXPECT_NEAR(bound.log2_bound, b, 1e-6);
 
   WorstCaseInstance wc = BuildWorstCaseDatabase(q, bound.alpha);
   const uint64_t count = CountJoin(q, wc.database);
   // Tightness within the rounding constant: |Q(D)| >= 2^{bound}/2^c, c = 1.
   EXPECT_GE(static_cast<double>(count),
-            std::exp2(bound.base.log2_bound) / 2.0 - 1e-6);
+            std::exp2(bound.log2_bound) / 2.0 - 1e-6);
   EXPECT_EQ(count, wc.witness.NumRows());
 }
 
@@ -112,7 +112,7 @@ TEST(WorstCase, DatabaseSatisfiesTheStatistics) {
       Stat(0b010, 0b100, 2.0, 4.0),
   };
   auto bound = NormalPolymatroidBound(q.num_vars(), stats);
-  ASSERT_TRUE(bound.base.ok());
+  ASSERT_TRUE(bound.ok());
   WorstCaseInstance wc = BuildWorstCaseDatabase(q, bound.alpha);
   for (const auto& s : stats) {
     // Identify the guarding atom by variable containment.
@@ -125,7 +125,7 @@ TEST(WorstCase, DatabaseSatisfiesTheStatistics) {
   }
   // And the join achieves the bound within the 2^c constant (c <= #steps).
   const double count = static_cast<double>(CountJoin(q, wc.database));
-  EXPECT_GE(std::log2(count + 0.5), bound.base.log2_bound - 2.0);
+  EXPECT_GE(std::log2(count + 0.5), bound.log2_bound - 2.0);
 }
 
 TEST(WorstCase, SingleJoinSelfJoinFreeTightness) {
@@ -137,11 +137,11 @@ TEST(WorstCase, SingleJoinSelfJoinFreeTightness) {
       Stat(0b010, 0b100, 2.0, 3.0),
   };
   auto bound = NormalPolymatroidBound(q.num_vars(), stats);
-  ASSERT_TRUE(bound.base.ok());
-  EXPECT_NEAR(bound.base.log2_bound, 6.0, 1e-6);
+  ASSERT_TRUE(bound.ok());
+  EXPECT_NEAR(bound.log2_bound, 6.0, 1e-6);
   WorstCaseInstance wc = BuildWorstCaseDatabase(q, bound.alpha);
   const double count = static_cast<double>(CountJoin(q, wc.database));
-  EXPECT_GE(std::log2(count), bound.base.log2_bound - 2.0);
+  EXPECT_GE(std::log2(count), bound.log2_bound - 2.0);
 }
 
 TEST(WorstCase, ChainQueryTightness) {
@@ -156,7 +156,7 @@ TEST(WorstCase, ChainQueryTightness) {
   stats.push_back(Stat(var("X2"), var("X3"), 2.0, 3.0));
   stats.push_back(Stat(var("X3"), var("X4"), kInfNorm, 2.0));
   auto bound = NormalPolymatroidBound(q.num_vars(), stats);
-  ASSERT_TRUE(bound.base.ok());
+  ASSERT_TRUE(bound.ok());
   WorstCaseInstance wc = BuildWorstCaseDatabase(q, bound.alpha);
   // Feasibility of the witness database.
   for (const auto& s : stats) {
@@ -169,7 +169,7 @@ TEST(WorstCase, ChainQueryTightness) {
   }
   const double count = static_cast<double>(CountJoin(q, wc.database));
   ASSERT_GT(count, 0.0);
-  EXPECT_GE(std::log2(count), bound.base.log2_bound - 4.0);
+  EXPECT_GE(std::log2(count), bound.log2_bound - 4.0);
 }
 
 TEST(WorstCase, AmplifiedStatisticsShrinkRelativeRoundingLoss) {
@@ -183,15 +183,15 @@ TEST(WorstCase, AmplifiedStatisticsShrinkRelativeRoundingLoss) {
         Stat(0b010, 0b100, 2.0, 1.1 * k),
     };
     auto bound = NormalPolymatroidBound(q.num_vars(), stats);
-    ASSERT_TRUE(bound.base.ok());
+    ASSERT_TRUE(bound.ok());
     WorstCaseInstance wc = BuildWorstCaseDatabase(q, bound.alpha);
     const double count = static_cast<double>(CountJoin(q, wc.database));
     ASSERT_GT(count, 0.0);
-    const double gap = bound.base.log2_bound - std::log2(count);
+    const double gap = bound.log2_bound - std::log2(count);
     EXPECT_GE(gap, -1e-9);  // the database never exceeds the bound
     // Each of the <= 2 step coefficients loses < 1 bit to ⌊2^α⌋ rounding.
     EXPECT_LE(gap, 2.0);
-    const double relative = gap / bound.base.log2_bound;
+    const double relative = gap / bound.log2_bound;
     EXPECT_LE(relative, prev_relative + 1e-9) << "k=" << k;
     prev_relative = relative;
   }
