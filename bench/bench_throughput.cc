@@ -13,18 +13,20 @@
 //              LP work — its kernel table is empty);
 //   * batch  — the advisor's batched what-if path: per template, one
 //              statistics assembly + structure lookup + per-bound lock for
-//              a whole block of value vectors, re-priced through the LP
-//              backend's multi-RHS resolve (EstimateLog2Batch);
+//              a whole block of value vectors (EstimateLog2Batch), each
+//              answered by the Nn engine's basis pool — a repeat of the
+//              front basis's last values by one compare — or else the LP
+//              backend;
 //   * warm + value jitter — the statistics change between calls, so each
 //              evaluation re-prices (and occasionally re-solves) rather
 //              than hitting an unchanged optimum.
 // The table reports the speedups and the advisor's memo/witness/warm/cold
-// counters, making the pipeline's cache behavior observable. (The batch
-// regimes use the what-if overload, which bypasses the memo, so they
-// measure the LP's witness and block re-pricing paths.) The warm and
-// batch regimes run once per LP backend (dense tableau vs revised simplex,
-// see lp/tableau.h), so the table doubles as the perf gate on the revised
-// backend's witness and block re-pricing paths.
+// counters, with the witness hits the basis pool served, making the
+// pipeline's cache behavior observable. (The batch regimes use the what-if
+// overload, which bypasses the memo, so they measure the basis pool and
+// the LP's witness paths.) The warm and batch regimes run once per LP
+// backend (dense tableau vs revised simplex, see lp/tableau.h), so the
+// table doubles as the perf gate on both backends' witness paths.
 //
 // A second, pivot-count workload complements the throughput regimes: the
 // fixed-seed cutting-plane Γn compile at n = 8 (the revised backend's
@@ -62,8 +64,8 @@
 // needing more than --max-warm-cold-ratio of the cold-growth pivots, a
 // gamma_n10 compile over the wall-clock ceiling, the revised cut batch's
 // median paired-round ratio under --min-cut-batch-ratio of its scalar
-// rate, or an optimizer lane's Nn LP column count more than 5% above
-// baseline; raw est/s is informational (machine-dependent) unless
+// rate, or an optimizer lane's Nn LP column count or first-sweep warm
+// re-solve count more than 5% above baseline; raw est/s is informational (machine-dependent) unless
 // --strict-absolute.
 #include <benchmark/benchmark.h>
 
@@ -160,6 +162,7 @@ struct RegimeRun {
   int batch_size = 1;       // value vectors per advisor call
   int repeats = 0;          // workload sweeps this regime actually ran
   uint64_t memo = 0, witness = 0, warm = 0, cold = 0;
+  uint64_t pool = 0;  // witness hits the Nn basis pool served
   // LP work behind the regime (AdvisorMetrics deltas): simplex pivots and
   // basis refactorizations. The warm regime's refactorizations-per-resolve
   // tracks the Forrest–Tomlin budget: 64 updates plus a fill limit.
@@ -208,6 +211,7 @@ void FillLpWork(RegimeRun& run, const AdvisorMetrics& before,
                 const AdvisorMetrics& after) {
   run.memo = after.memo_hits - before.memo_hits;
   run.witness = after.witness_hits - before.witness_hits;
+  run.pool = after.pool_hits - before.pool_hits;
   run.warm = after.warm_resolves - before.warm_resolves;
   run.cold = after.cold_solves - before.cold_solves;
   run.pivots = after.lp_pivots - before.lp_pivots;
@@ -702,7 +706,10 @@ struct OptimizerRun {
   // AdvisorMetrics deltas across the whole timed run (bound lanes only).
   uint64_t advisor_batch_calls = 0;
   uint64_t advisor_batch_probes = 0;
-  uint64_t memo = 0, witness = 0, warm = 0, cold = 0;
+  uint64_t memo = 0, witness = 0, pool = 0, warm = 0, cold = 0;
+  // Warm re-solves of the untimed first sweep (bound lanes only): a fresh
+  // advisor over a fixed probe sequence, so the count is deterministic.
+  uint64_t warm_resolves = 0;
   // The Nn LPs behind one sweep's probes (bound lanes only): distinct
   // structures and their summed structural columns after the
   // dominated-column presolve — deterministic, shapes only.
@@ -771,6 +778,7 @@ OptimizerRun MeasureOptimizer(bool bound_model, LpBackendKind backend,
   // deployment scenario — templates repeat) and collects the
   // deterministic enumeration counters and the probes they priced.
   RecordingModel recorder(model);
+  const AdvisorMetrics first_before = advisor.metrics();
   for (const Query& q : wl.queries) {
     JoinOrderOptimizer dp(q, recorder, jopt);
     dp.Optimize();
@@ -787,6 +795,8 @@ OptimizerRun MeasureOptimizer(bool bound_model, LpBackendKind backend,
     }
   }
 
+  run.warm_resolves =
+      advisor.metrics().warm_resolves - first_before.warm_resolves;
   if (bound_model) CountNormalLpColumns(advisor, recorder.probes(), run);
 
   const AdvisorMetrics before = advisor.metrics();
@@ -809,6 +819,7 @@ OptimizerRun MeasureOptimizer(bool bound_model, LpBackendKind backend,
   run.advisor_batch_probes = after.batch_probes - before.batch_probes;
   run.memo = after.memo_hits - before.memo_hits;
   run.witness = after.witness_hits - before.witness_hits;
+  run.pool = after.pool_hits - before.pool_hits;
   run.warm = after.warm_resolves - before.warm_resolves;
   run.cold = after.cold_solves - before.cold_solves;
   return run;
@@ -882,11 +893,12 @@ PlanQuality MeasurePlanQuality() {
 
 void PrintCounters(const RegimeRun& run) {
   std::printf(
-      "%-28s %14.0f est/s   (%.1fx)   memo=%llu witness=%llu warm=%llu "
-      "cold=%llu pivots=%llu refac=%llu\n",
+      "%-28s %14.0f est/s   (%.1fx)   memo=%llu witness=%llu (pool=%llu) "
+      "warm=%llu cold=%llu pivots=%llu refac=%llu\n",
       run.label, run.est_per_s, run.speedup,
       static_cast<unsigned long long>(run.memo),
       static_cast<unsigned long long>(run.witness),
+      static_cast<unsigned long long>(run.pool),
       static_cast<unsigned long long>(run.warm),
       static_cast<unsigned long long>(run.cold),
       static_cast<unsigned long long>(run.pivots),
@@ -917,12 +929,14 @@ void DumpRunsJson(std::FILE* f, const char* section,
                  "    {\"backend\": \"%s\", \"est_per_s\": %.1f, "
                  "\"speedup\": %.2f, \"batch_size\": %d, "
                  "\"repeats\": %d, \"memo_hits\": %llu, "
-                 "\"witness\": %llu, \"warm\": %llu, \"cold\": %llu, "
+                 "\"witness\": %llu, \"pool_hits\": %llu, \"warm\": %llu, "
+                 "\"cold\": %llu, "
                  "\"pivots\": %llu, \"refactorizations\": %llu,\n"
                  "     \"kernels\": [",
                  run.backend, run.est_per_s, run.speedup, run.batch_size,
                  run.repeats, static_cast<unsigned long long>(run.memo),
                  static_cast<unsigned long long>(run.witness),
+                 static_cast<unsigned long long>(run.pool),
                  static_cast<unsigned long long>(run.warm),
                  static_cast<unsigned long long>(run.cold),
                  static_cast<unsigned long long>(run.pivots),
@@ -1143,16 +1157,19 @@ void PrintTable() {
     if (run.advisor_batch_calls > 0) {
       std::printf(
           "%-12s %-8s advisor: batches=%llu probes=%llu memo=%llu "
-          "witness=%llu warm=%llu cold=%llu\n",
+          "witness=%llu (pool=%llu) warm=%llu cold=%llu\n",
           "", "", static_cast<unsigned long long>(run.advisor_batch_calls),
           static_cast<unsigned long long>(run.advisor_batch_probes),
           static_cast<unsigned long long>(run.memo),
           static_cast<unsigned long long>(run.witness),
+          static_cast<unsigned long long>(run.pool),
           static_cast<unsigned long long>(run.warm),
           static_cast<unsigned long long>(run.cold));
-      std::printf("%-12s %-8s Nn LPs: structures=%llu columns=%llu\n", "", "",
-                  static_cast<unsigned long long>(run.nn_structures),
-                  static_cast<unsigned long long>(run.nn_columns));
+      std::printf("%-12s %-8s Nn LPs: structures=%llu columns=%llu  "
+                  "first-sweep warm re-solves=%llu\n",
+                  "", "", static_cast<unsigned long long>(run.nn_structures),
+                  static_cast<unsigned long long>(run.nn_columns),
+                  static_cast<unsigned long long>(run.warm_resolves));
     }
   }
   std::printf(
@@ -1279,8 +1296,10 @@ void PrintTable() {
             "\"dp_levels\": %llu, \"memo_entries\": %llu,\n"
             "     \"advisor_batch_calls\": %llu, "
             "\"advisor_batch_probes\": %llu, \"memo_hits\": %llu, "
-            "\"witness\": %llu, \"warm\": %llu, \"cold\": %llu,\n"
-            "     \"nn_structures\": %llu, \"nn_columns\": %llu,\n"
+            "\"witness\": %llu, \"pool_hits\": %llu, \"warm\": %llu, "
+            "\"cold\": %llu,\n"
+            "     \"nn_structures\": %llu, \"nn_columns\": %llu, "
+            "\"warm_resolves\": %llu,\n"
             "     \"probes_per_level\": [",
             run.model, run.backend, run.plans_per_s, run.repeats, run.queries,
             static_cast<unsigned long long>(run.probes),
@@ -1291,10 +1310,12 @@ void PrintTable() {
             static_cast<unsigned long long>(run.advisor_batch_probes),
             static_cast<unsigned long long>(run.memo),
             static_cast<unsigned long long>(run.witness),
+            static_cast<unsigned long long>(run.pool),
             static_cast<unsigned long long>(run.warm),
             static_cast<unsigned long long>(run.cold),
             static_cast<unsigned long long>(run.nn_structures),
-            static_cast<unsigned long long>(run.nn_columns));
+            static_cast<unsigned long long>(run.nn_columns),
+            static_cast<unsigned long long>(run.warm_resolves));
         for (size_t k = 0; k < run.probes_per_level.size(); ++k) {
           std::fprintf(f, "%s%llu", k ? ", " : "",
                        static_cast<unsigned long long>(

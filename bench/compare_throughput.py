@@ -75,10 +75,12 @@ Fails (exit 1) when
     same check from the advisor's side, or
   * a bound optimizer lane's nn_columns — the summed structural columns
     of the Nn LPs behind one sweep's probes, after the dominated-column
-    presolve (bounds/normal_engine.h) — grows more than
-    NN_COLUMNS_TOLERANCE (5%) above baseline. It depends only on statistic
-    shapes, so it is deterministic: growth means the presolve keeps
-    columns it used to drop, or
+    presolve (bounds/normal_engine.h) — or its warm_resolves — the warm
+    LP re-solves of the untimed first sweep, on a fresh advisor — grows
+    more than LP_COUNT_TOLERANCE (5%) above baseline. Both are
+    deterministic: growth means the presolve keeps columns it used to
+    drop, or the basis pool (bounds/basis_pool.h) serves fewer drifted
+    values. A baseline without the field skips its check with a note, or
   * the executed plan-quality sums regress: the bound-driven DP's summed
     peak intermediate (optimizer_plan_quality.bound_peak_sum) must not
     exceed the traditional-model DP's or the greedy baseline's on the
@@ -117,8 +119,13 @@ import argparse
 import json
 import sys
 
-# Allowed fractional growth of a bound optimizer lane's Nn LP column count.
-NN_COLUMNS_TOLERANCE = 0.05
+# Allowed fractional growth of a bound optimizer lane's deterministic LP
+# counts, each with what its growth would point at.
+LP_COUNT_TOLERANCE = 0.05
+LP_COUNTS = {
+    "nn_columns": "the dominated-column presolve keeps more columns?",
+    "warm_resolves": "the basis pool serves fewer drifted values?",
+}
 
 
 def by_backend(runs):
@@ -419,19 +426,23 @@ def main():
                 failures.append(
                     f"{label}: {metric} grew {base_v} -> {new_v} "
                     f"(deterministic count — batching discipline broke?)")
-        if "nn_columns" in base_run:
-            base_v, new_v = base_run["nn_columns"], new_run.get("nn_columns")
+        for metric, hint in LP_COUNTS.items():
+            if key[0] != "bound":
+                continue
+            if metric not in base_run:
+                print(f"{label + ' ' + metric:<34} skipped: not in baseline")
+                continue
+            base_v, new_v = base_run[metric], new_run.get(metric)
             if new_v is None:
-                failures.append(f"{label}: nn_columns missing from new JSON")
-            else:
-                ratio = new_v / base_v if base_v else float("inf")
-                print(f"{label + ' nn_columns':<34} {base_v:>12} "
-                      f"{new_v:>12} {ratio:>7.2f}x")
-                if new_v > (1.0 + NN_COLUMNS_TOLERANCE) * base_v:
-                    failures.append(
-                        f"{label}: Nn LP columns grew {base_v} -> {new_v} "
-                        f"(>{NN_COLUMNS_TOLERANCE:.0%} — the "
-                        f"dominated-column presolve keeps more columns?)")
+                failures.append(f"{label}: {metric} missing from new JSON")
+                continue
+            ratio = new_v / base_v if base_v else float("inf")
+            print(f"{label + ' ' + metric:<34} {base_v:>12} "
+                  f"{new_v:>12} {ratio:>7.2f}x")
+            if new_v > (1.0 + LP_COUNT_TOLERANCE) * base_v:
+                failures.append(
+                    f"{label}: {metric} grew {base_v} -> {new_v} "
+                    f"(>{LP_COUNT_TOLERANCE:.0%} — {hint})")
         plans = new_run.get("plans_per_s", 0.0)
         base_plans = base_run.get("plans_per_s", 0.0)
         tag = "" if args.strict_absolute else " (info)"

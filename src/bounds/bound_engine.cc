@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <cstring>
 #include <optional>
 #include <set>
 #include <utility>
 
+#include "bounds/basis_pool.h"
 #include "bounds/normal_engine.h"
 #include "bounds/shannon_cuts.h"
 #include "entropy/shannon.h"
@@ -101,6 +103,7 @@ std::vector<BoundResult> CompiledBound::EvaluateBatchImpl(
 
 void CompiledBound::Record(const BoundResult& result) {
   ++counters_.evaluations;
+  if (result.pool_hit) ++counters_.pool_hits;
   switch (result.eval_path) {
     case LpEvalPath::kWitness:
       ++counters_.witness_hits;
@@ -176,78 +179,6 @@ BoundResult ResultFromLp(const LpResult& lp, const BoundStructure& structure,
                           lp.duals.begin() + structure.shapes.size());
   }
   return result;
-}
-
-// Shared batch driver for the single-LP engines (normal, full-lattice Γn):
-// gathers maximal runs of columns not served by the structural-unbounded
-// shortcut, pushes each run through the tableau's multi-RHS resolve, and
-// finalizes columns in order.
-//
-// A mid-run unbounded verdict flips the shortcut flag for the columns
-// after it, and their block resolves have already run — but those
-// resolves are scalar-identical by construction: an unbounded solve
-// caches no basis, and with the recession ray fixed every later in-run
-// resolve is a history-independent cold solve that can only end
-// unbounded or infeasible (never optimal, so no basis ever reappears).
-// Columns the scalar sequence would have *shortcut* (nonnegative values)
-// therefore just get their result replaced with the shortcut result —
-// their speculative solve touched no state the scalar sequence could
-// observe — and every other column keeps its block result unchanged.
-// Allocation discipline: the run's RHS buffers and the LpResult vector
-// persist across runs (fill_rhs writes into a reused std::vector, and the
-// tableau's out-param batch overload reuses each LpResult's x/duals
-// capacity), so the steady-state per-column cost is the LP work itself,
-// not allocator traffic.
-// Caller-owned scratch for BatchThroughTableau: the run's RHS buffers and
-// the LpResult vector survive across batches (each engine keeps one as a
-// member), so their steady-state cost is a fill, not an allocation — and
-// fill_rhs callbacks may exploit the persistence (a buffer already sized
-// for this LP keeps its zero tail, see the Γn engine).
-struct BatchScratch {
-  std::vector<std::vector<double>> run;
-  std::vector<LpResult> lps;
-};
-
-template <typename FillRhs, typename Finalize>
-std::vector<BoundResult> BatchThroughTableau(
-    std::span<const std::vector<double>> batch, SimplexTableau& tableau,
-    bool& structurally_unbounded, BatchScratch& scratch,
-    const FillRhs& fill_rhs, const Finalize& finalize) {
-  std::vector<BoundResult> out(batch.size());
-  std::vector<std::vector<double>>& run = scratch.run;
-  std::vector<LpResult>& lps = scratch.lps;
-  size_t i = 0;
-  while (i < batch.size()) {
-    if (structurally_unbounded && AllNonNegative(batch[i])) {
-      out[i++] = StructurallyUnboundedResult(tableau.backend());
-      continue;
-    }
-    size_t run_size = 0;
-    size_t end = i;
-    while (end < batch.size() &&
-           !(structurally_unbounded && AllNonNegative(batch[end]))) {
-      if (run.size() <= run_size) run.emplace_back();
-      fill_rhs(batch[end], run[run_size]);
-      ++run_size;
-      ++end;
-    }
-    tableau.ResolveWithRhsBatch(
-        std::span<const std::vector<double>>(run.data(), run_size), lps);
-    bool flipped_mid_run = false;
-    for (size_t k = 0; k < lps.size(); ++k) {
-      if (flipped_mid_run && AllNonNegative(batch[i + k])) {
-        out[i + k] = StructurallyUnboundedResult(tableau.backend());
-        continue;
-      }
-      out[i + k] = finalize(lps[k], batch[i + k]);
-      if (out[i + k].unbounded() && !structurally_unbounded) {
-        structurally_unbounded = true;
-        flipped_mid_run = true;
-      }
-    }
-    i = end;
-  }
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -413,21 +344,71 @@ class CompiledGammaBound : public CompiledBound {
     if (!full_mode_) {
       return EvaluateBatchCutting(log_b_batch, want_h_opt);
     }
-    return BatchThroughTableau(
-        log_b_batch, *tableau_, structurally_unbounded_, batch_scratch_,
-        [this](const std::vector<double>& log_b, std::vector<double>& rhs) {
-          // Only the first num_stats entries are ever nonzero; a persistent
-          // buffer already sized for this LP keeps its zero tail, so the
-          // per-column cost is the statistics copy, not an O(rows) clear.
-          // (Full mode never grows lp_, so a matching size is conclusive.)
-          if (rhs.size() != static_cast<size_t>(lp_.num_constraints())) {
-            rhs.assign(lp_.num_constraints(), 0.0);
-          }
-          std::copy(log_b.begin(), log_b.end(), rhs.begin());
-        },
-        [&](const LpResult& lp, const std::vector<double>& log_b) {
-          return GammaResult(lp, log_b, 0, want_h_opt);
-        });
+    return EvaluateBatchFull(log_b_batch, want_h_opt);
+  }
+
+  // Full-lattice batch: gathers maximal runs of columns not served by the
+  // structural-unbounded shortcut, pushes each run through the tableau's
+  // multi-RHS resolve, and finalizes columns in order.
+  //
+  // A mid-run unbounded verdict flips the shortcut flag for the columns
+  // after it, and their block resolves have already run — but those
+  // resolves are scalar-identical by construction: an unbounded solve
+  // caches no basis, and with the recession ray fixed every later in-run
+  // resolve is a history-independent cold solve that can only end
+  // unbounded or infeasible (never optimal, so no basis ever reappears).
+  // Columns the scalar sequence would have *shortcut* (nonnegative values)
+  // therefore just get their result replaced with the shortcut result —
+  // their speculative solve touched no state the scalar sequence could
+  // observe — and every other column keeps its block result unchanged.
+  // Allocation discipline: the run's RHS buffers and the LpResult vector
+  // are members that persist across runs and batches (the tableau's
+  // out-param batch overload reuses each LpResult's x/duals capacity), so
+  // the steady-state per-column cost is the LP work itself, not allocator
+  // traffic.
+  std::vector<BoundResult> EvaluateBatchFull(
+      std::span<const std::vector<double>> batch, bool want_h_opt) {
+    std::vector<BoundResult> out(batch.size());
+    size_t i = 0;
+    while (i < batch.size()) {
+      if (structurally_unbounded_ && AllNonNegative(batch[i])) {
+        out[i++] = StructurallyUnboundedResult(tableau_->backend());
+        continue;
+      }
+      size_t run_size = 0;
+      size_t end = i;
+      while (end < batch.size() &&
+             !(structurally_unbounded_ && AllNonNegative(batch[end]))) {
+        if (run_.size() <= run_size) run_.emplace_back();
+        // Only the first num_stats entries are ever nonzero; a persistent
+        // buffer already sized for this LP keeps its zero tail, so the
+        // per-column cost is the statistics copy, not an O(rows) clear.
+        // (Full mode never grows lp_, so a matching size is conclusive.)
+        std::vector<double>& rhs = run_[run_size];
+        if (rhs.size() != static_cast<size_t>(lp_.num_constraints())) {
+          rhs.assign(lp_.num_constraints(), 0.0);
+        }
+        std::copy(batch[end].begin(), batch[end].end(), rhs.begin());
+        ++run_size;
+        ++end;
+      }
+      tableau_->ResolveWithRhsBatch(
+          std::span<const std::vector<double>>(run_.data(), run_size), lps_);
+      bool flipped_mid_run = false;
+      for (size_t k = 0; k < lps_.size(); ++k) {
+        if (flipped_mid_run && AllNonNegative(batch[i + k])) {
+          out[i + k] = StructurallyUnboundedResult(tableau_->backend());
+          continue;
+        }
+        out[i + k] = GammaResult(lps_[k], batch[i + k], 0, want_h_opt);
+        if (out[i + k].unbounded() && !structurally_unbounded_) {
+          structurally_unbounded_ = true;
+          flipped_mid_run = true;
+        }
+      }
+      i = end;
+    }
+    return out;
   }
 
   // Cutting-plane batch: a shared per-batch cut pool. The compiled cut set
@@ -442,8 +423,8 @@ class CompiledGammaBound : public CompiledBound {
       std::span<const std::vector<double>> log_b_batch, bool want_h_opt) {
     const int n = structure_.n;
     std::vector<BoundResult> out(log_b_batch.size());
-    std::vector<std::vector<double>>& run = batch_scratch_.run;
-    std::vector<LpResult>& lps = batch_scratch_.lps;
+    std::vector<std::vector<double>>& run = run_;
+    std::vector<LpResult>& lps = lps_;
     size_t i = 0;
     while (i < log_b_batch.size()) {
       if (structurally_unbounded_ && AllNonNegative(log_b_batch[i])) {
@@ -552,7 +533,10 @@ class CompiledGammaBound : public CompiledBound {
   std::vector<double> scan_scratch_;
   int box_row_ = -1;
   bool structurally_unbounded_ = false;
-  BatchScratch batch_scratch_;
+  // Batch scratch: each run's RHS buffers and LpResults, kept across
+  // batches so their steady-state cost is a fill, not an allocation.
+  std::vector<std::vector<double>> run_;
+  std::vector<LpResult> lps_;
 };
 
 class GammaEngine : public BoundEngine {
@@ -572,7 +556,10 @@ class GammaEngine : public BoundEngine {
 // Nn engine: exact for simple shapes (Theorem 6.1) with a far smaller LP —
 // only the statistics are rows and only the non-dominated step functions
 // are columns (normal_engine.h), so witness re-pricing is O(stats²) and a
-// warm pivot sweeps a few dozen columns rather than 2^n − 1.
+// warm pivot sweeps a few dozen columns rather than 2^n − 1. In front of
+// the tableau sits the basis pool (basis_pool.h): most drifted values are
+// served by a pooled optimal basis, and the backend sees only the rest.
+// A batch is the scalar sequence (the base class's EvaluateBatchImpl).
 
 class CompiledNormalBound : public CompiledBound {
  public:
@@ -582,30 +569,33 @@ class CompiledNormalBound : public CompiledBound {
             std::move(structure), options) {}
 
  protected:
+  // The cascade: structural unboundedness, then the basis pool, then the
+  // tableau's warm re-solve, then cold. Only the backend's optimal bases
+  // enter the pool, and only finite values ever meet it.
   BoundResult EvaluateImpl(const std::vector<double>& log_b,
                            bool want_h_opt) override {
     if (structurally_unbounded_ && AllNonNegative(log_b)) {
       return StructurallyUnboundedResult(tableau_.backend());
     }
-    BoundResult result =
-        NormalResult(tableau_.ResolveWithRhs(log_b), log_b, want_h_opt);
+    const bool finite = std::all_of(log_b.begin(), log_b.end(),
+                                    [](double v) { return std::isfinite(v); });
+    BoundResult result;
+    if (finite && pool_.Serve(log_b, want_h_opt, result)) {
+      result.lp_backend = tableau_.backend();
+      result.lp_pricing = pricing_;
+      if (want_h_opt) {
+        result.h_opt =
+            SetFunction::NormalCombination(structure_.n, result.alpha);
+      }
+      return result;
+    }
+    const LpResult lp = tableau_.ResolveWithRhs(log_b);
+    result = NormalResult(lp, log_b, want_h_opt);
     if (result.unbounded()) structurally_unbounded_ = true;
+    if (finite && result.ok() && pool_.Offer(tableau_.basis(), columns_)) {
+      pricing_ = lp.pricing;
+    }
     return result;
-  }
-
-  std::vector<BoundResult> EvaluateBatchImpl(
-      std::span<const std::vector<double>> log_b_batch,
-      bool want_h_opt) override {
-    // The Nn LP's RHS is the value vector itself, so each run feeds the
-    // tableau's multi-RHS resolve directly.
-    return BatchThroughTableau(
-        log_b_batch, tableau_, structurally_unbounded_, batch_scratch_,
-        [](const std::vector<double>& log_b, std::vector<double>& rhs) {
-          rhs.assign(log_b.begin(), log_b.end());
-        },
-        [&](const LpResult& lp, const std::vector<double>& log_b) {
-          return NormalResult(lp, log_b, want_h_opt);
-        });
   }
 
  private:
@@ -627,7 +617,8 @@ class CompiledNormalBound : public CompiledBound {
                       const EngineOptions& options)
       : CompiledBound(std::move(structure)),
         columns_(std::move(lp.columns)),
-        tableau_(lp.lp, options.simplex) {}
+        tableau_(lp.lp, options.simplex),
+        pool_(structure_, options.simplex.eps) {}
 
   // Shape-only statistics (log_b = 0) for the matrix builder; the real
   // values arrive per evaluation as the RHS vector.
@@ -646,8 +637,11 @@ class CompiledNormalBound : public CompiledBound {
 
   std::vector<VarSet> columns_;  // the W of each LP column
   SimplexTableau tableau_;
+  NormalBasisPool pool_;
+  // The pricing rule of the solve that pooled the front basis, reported
+  // on pool answers.
+  PricingRule pricing_ = PricingRule::kDantzig;
   bool structurally_unbounded_ = false;
-  BatchScratch batch_scratch_;
 };
 
 class NormalEngine : public BoundEngine {

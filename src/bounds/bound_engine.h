@@ -5,15 +5,22 @@
 // constraint matrix and objective — and *values* — the concrete ℓp-norm
 // measurements log_b, which only enter the right-hand side. A BoundEngine
 // compiles a structure once into a CompiledBound; each Evaluate(log_b) then
-// reuses the cached optimal basis of the previous evaluation:
+// reuses optimal bases of earlier evaluations:
 //
-//   1. witness reuse — if the cached basis is still primal-feasible at the
-//      new RHS (checked by re-pricing B⁻¹b', a rows × nnz(b') product), the
-//      bound is the cached dual witness applied to the new values,
-//      Σ_i w_i · log_b_i — a dot product, no simplex pivots at all;
+//   1. witness reuse — if an earlier optimal basis is still primal-feasible
+//      at the new RHS, the bound is its dual witness applied to the new
+//      values, Σ_i w_i · log_b_i — a dot product, no simplex pivots at all.
+//      The Nn engine first tries its basis pool (bounds/basis_pool.h): up
+//      to 8 optimal bases, most recently used first, each checked through
+//      its t × t block without touching the backend. Its misses, and every
+//      Γn evaluation, re-price the tableau's one cached basis (B⁻¹b', a
+//      rows × nnz(b') product);
 //   2. warm re-solve — otherwise dual-simplex pivots from the still-dual-
 //      feasible cached basis (lp/tableau.h);
 //   3. cold solve — full two-phase simplex as a last resort.
+//
+// For the Nn engine the order is therefore pool, then warm, then cold; a
+// pool answer reports kWitness and sets BoundResult::pool_hit.
 //
 // This is the LP analogue of a plan skeleton reused across invocations:
 // optimizer probes against a repeated query template pay for statistics
@@ -72,6 +79,7 @@ bool IsPandaShape(const StatisticShape& shape);  // p ∈ {1, ∞}
 struct EvalCounters {
   uint64_t evaluations = 0;
   uint64_t witness_hits = 0;   // cached basis still optimal: dot product only
+  uint64_t pool_hits = 0;      // witness hits the Nn basis pool served
   uint64_t warm_resolves = 0;  // dual-simplex pivots from the cached basis
   uint64_t cold_solves = 0;    // full two-phase solve (incl. cut growth)
 };
@@ -96,13 +104,15 @@ class CompiledBound {
 
   // Evaluates the bound at every value vector of `log_b_batch`, in order.
   // For the fixed-matrix engines, results (including eval paths and
-  // counters) are identical to calling Evaluate per vector — the cached
-  // basis evolves across the batch exactly as it would across scalar
-  // calls — but the batch amortizes the per-evaluation machinery: the
-  // LP-backed engines push the whole block through
-  // SimplexTableau::ResolveWithRhsBatch, so witness-valid columns share
-  // one factorization and one cached-duals read (see lp/tableau.h). The
-  // cutting-plane Γn engine shares its cut pool across the batch instead:
+  // counters) are identical to calling Evaluate per vector. The Nn engine
+  // runs exactly that scalar sequence: its basis pool answers most
+  // columns without the backend, and a repeat of the front basis's last
+  // values costs one compare. The full-lattice Γn engine pushes the block
+  // through SimplexTableau::ResolveWithRhsBatch, so witness-valid columns
+  // share one factorization and one cached-duals read (see lp/tableau.h),
+  // with the cached basis evolving across the batch exactly as it would
+  // across scalar calls. The cutting-plane Γn engine shares its cut pool
+  // across the batch instead:
   // converged columns ride the block resolve and only columns that still
   // separate new cuts pay scalar top-up rounds, so bounds match the scalar
   // sequence to floating-point tolerance (both converge the same cut
@@ -123,8 +133,9 @@ class CompiledBound {
                                    bool want_h_opt) = 0;
   // Batch hook. The base implementation is the sequential scalar loop —
   // always correct, since the scalar sequence is the batch's contract; the
-  // gamma (full-lattice mode) and normal engines override it to hand
-  // maximal runs of columns to the tableau's multi-RHS resolve.
+  // gamma engine overrides it to hand maximal runs of columns to the
+  // tableau's multi-RHS resolve (full-lattice mode) or to share its cut
+  // pool (cutting mode).
   virtual std::vector<BoundResult> EvaluateBatchImpl(
       std::span<const std::vector<double>> log_b_batch, bool want_h_opt);
 

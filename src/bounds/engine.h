@@ -98,6 +98,10 @@ struct BoundResult {
   // How the underlying LP was evaluated: witness reuse, warm re-solve or
   // cold solve (a compiled bound's first evaluation is always cold).
   LpEvalPath eval_path = LpEvalPath::kCold;
+  // True when the Nn engine's basis pool (bounds/basis_pool.h) answered:
+  // a kWitness evaluation served by a pooled optimal basis without
+  // reaching the LP backend, so lp_stats is all zeros.
+  bool pool_hit = false;
   // Which LP backend served this bound (dense tableau or revised simplex);
   // surfaced through CardinalityAdvisor::Explain.
   LpBackendKind lp_backend = LpBackendKind::kDense;

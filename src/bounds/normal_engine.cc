@@ -5,26 +5,18 @@
 #include <numeric>
 #include <utility>
 
-#include "relation/degree_sequence.h"
-
 namespace lpb {
 namespace {
 
-// Row coefficients of column W: (1/p)·1{W∩U≠∅} + 1{W∩V≠∅ ∧ W∩U=∅} per
-// statistic, written into `coefs`; returns their sum.
+// Row coefficients of column W (NormalCoefficient per statistic), written
+// into `coefs`; returns their sum.
 double ColumnCoefficients(VarSet w, const std::vector<ConcreteStatistic>& stats,
                           const std::vector<double>& inv_p,
                           std::vector<double>& coefs) {
   double sum = 0.0;
   for (size_t i = 0; i < stats.size(); ++i) {
-    double coef = 0.0;
-    if (Intersects(w, stats[i].sigma.u)) {
-      coef = inv_p[i];
-    } else if (Intersects(w, stats[i].sigma.v)) {
-      coef = 1.0;
-    }
-    coefs[i] = coef;
-    sum += coef;
+    coefs[i] = NormalCoefficient(w, stats[i].sigma, inv_p[i]);
+    sum += coefs[i];
   }
   return sum;
 }
@@ -36,9 +28,7 @@ NormalBoundLp BuildNormalBoundLp(int n,
   const VarSet full = FullSet(n);
   const size_t rows = stats.size();
   std::vector<double> inv_p(rows);
-  for (size_t i = 0; i < rows; ++i) {
-    inv_p[i] = (stats[i].p >= kInfNorm / 2) ? 0.0 : 1.0 / stats[i].p;
-  }
+  for (size_t i = 0; i < rows; ++i) inv_p[i] = InverseNorm(stats[i].p);
 
   // Scan order: ascending coefficient sum, ties by W. A column's
   // dominators have sums no larger than its own (float addition is

@@ -20,6 +20,13 @@
 // touches) dominates every other column, so it alone survives and the LP
 // stays unbounded exactly when the full one is.
 //
+// Evaluation: the values enter this LP only as its right-hand side, so an
+// optimal basis stays dual feasible for all of them. The compiled bound
+// (bounds/bound_engine.h) therefore keeps a pool of up to 8 optimal bases
+// (bounds/basis_pool.h) and tries it before the LP backend: a pooled basis
+// answers any values at which it is still primal feasible, exactly, with
+// its duals as the weights of inequality (8).
+//
 // CAUTION: for non-simple statistics Nn ⊊ Γn makes this a lower bound on
 // the polymatroid bound, NOT a valid output-size bound; callers must check
 // AllSimple() (the "normal" engine asserts it on Compile, and
@@ -32,6 +39,7 @@
 
 #include "bounds/bound_engine.h"
 #include "lp/lp_problem.h"
+#include "relation/degree_sequence.h"
 #include "stats/statistic.h"
 #include "util/bits.h"
 
@@ -52,6 +60,17 @@ BoundResult NormalPolymatroidBound(int n,
 // a lower bound on the polymatroid bound (see CAUTION above).
 std::unique_ptr<CompiledBound> CompileNormalBound(
     const BoundStructure& structure, const EngineOptions& options);
+
+// 1/p, and 0 for p = ∞: the weight of h(U) in a statistic's row.
+inline double InverseNorm(double p) { return p >= kInfNorm / 2 ? 0.0 : 1.0 / p; }
+
+// The coefficient of step function h_W in the row of statistic σ = (V|U)
+// with inv_p = InverseNorm(p): (1/p)·1{W∩U≠∅} + 1{W∩V≠∅ ∧ W∩U=∅}.
+inline double NormalCoefficient(VarSet w, const Conditional& sigma,
+                                double inv_p) {
+  if (Intersects(w, sigma.u)) return inv_p;
+  return Intersects(w, sigma.v) ? 1.0 : 0.0;
+}
 
 // The Nn LP: maximize Σ_W α_W over α >= 0 with one <= row per statistic
 // (rhs = stat.log_b), in statistics order, and one column per

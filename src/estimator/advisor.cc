@@ -404,6 +404,7 @@ CardinalityAdvisor::CompiledEntry& CardinalityAdvisor::LookupOrCompile(
 void CardinalityAdvisor::RecordEval(const BoundResult& result) {
   estimates_.fetch_add(1, std::memory_order_relaxed);
   if (result.fallback) lp_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+  if (result.pool_hit) pool_hits_.fetch_add(1, std::memory_order_relaxed);
   switch (result.eval_path) {
     case LpEvalPath::kWitness:
       witness_hits_.fetch_add(1, std::memory_order_relaxed);
@@ -693,6 +694,7 @@ AdvisorMetrics CardinalityAdvisor::metrics() const {
   m.compiled_misses = compiled_misses_.load(std::memory_order_relaxed);
   m.memo_hits = memo_hits_.load(std::memory_order_relaxed);
   m.witness_hits = witness_hits_.load(std::memory_order_relaxed);
+  m.pool_hits = pool_hits_.load(std::memory_order_relaxed);
   m.warm_resolves = warm_resolves_.load(std::memory_order_relaxed);
   m.cold_solves = cold_solves_.load(std::memory_order_relaxed);
   m.lp_fallbacks = lp_fallbacks_.load(std::memory_order_relaxed);

@@ -15,14 +15,20 @@
 //     LP only through those shapes) via bounds/bound_engine.h and
 //     re-evaluated per statistics. For a repeated query template the
 //     estimate is a statistics lookup plus a dual-witness dot product; the
-//     LP is re-solved (warm, then cold) only when the cached basis stops
-//     being optimal. Footprint: one sweep of the plan-drift benchmark
-//     compiles 3,838 structures, which hold about 645 MB on the dense
-//     backend and 570 MB on the revised one (4-core x86 VM, gcc 12). The
-//     Nn presolve (bounds/normal_engine.h) keeps 25–35 columns per
-//     structure, so per-structure memory is now the rows × rows basis
-//     scratch of each backend, not the 2^n − 1 step-function columns
-//     (2.6 GB on the dense backend when every column was built).
+//     Nn engine keeps up to 8 optimal bases per structure
+//     (bounds/basis_pool.h), and the LP is re-solved (warm, then cold)
+//     only when none of them is optimal for the new values. Footprint: one
+//     sweep of the plan-drift benchmark compiles 3,838 structures. On the
+//     dense backend each holds about 20 KB for the backend's copy of its
+//     LpProblem and about 92 KB for the tableau on average, which shares
+//     one exactly sized arena allocation with the row scratch; the basis
+//     pool adds about 1 KB. plan-drift peaks at about 485 MB on the dense
+//     backend and 452 MB on the revised one (4-core x86 VM, gcc 12); it
+//     was 666 and 621 MB while every Build also took a zero-filled 64 KB
+//     arena chunk for about 3 KB of row scratch. The Nn presolve
+//     (bounds/normal_engine.h) keeps 25–35 columns per structure, not the
+//     2^n − 1 step-function columns (2.6 GB on the dense backend when
+//     every column was built).
 //   * estimate memo — each compiled structure remembers the last 8 value
 //     vectors it evaluated with their log2 bounds, most recently used
 //     first, compared bitwise. The values are the LP's only per-estimate
@@ -32,7 +38,7 @@
 //     tracking touches the memo — a relation whose data changed simply
 //     produces new values, which miss. Without it, the one cached basis
 //     per structure bounces between the subqueries that share it and
-//     every exact repeat pays a witness check or a warm re-solve; on the
+//     every exact repeat pays a basis-pool check or a warm re-solve; on the
 //     plan-drift benchmark (perfbench/) 70% of optimizer probes repeat an
 //     exact input. There 8 slots kept 94% of the hits an unbounded memo
 //     got (81.5k vs 86.5k over one 396-plan run, at the same plans/s on a
@@ -47,9 +53,10 @@
 // for thousands of what-if estimates against the same compiled structure.
 // EstimateLog2Batch amortizes the per-call machinery — statistics
 // assembly, structure lookup, and the per-bound mutex are paid once per
-// batch, and the value vectors flow through the LP backend's multi-RHS
-// resolve (one cached LU factorization, shared dual witness) instead of
-// one scalar cascade per probe.
+// batch, and the value vectors flow through the compiled bound's batch
+// path (bounds/bound_engine.h): the Nn engine's basis pool, where a repeat
+// of the front basis's last values costs one compare, or the Γn engine's
+// multi-RHS resolve (one cached LU factorization, shared dual witness).
 //
 // Malformed queries are refused, never undefined behaviour: a query over
 // more than kMaxVars variables, or one with an atom whose relation the
@@ -124,6 +131,9 @@ struct AdvisorMetrics {
   uint64_t compiled_misses = 0;  // structure compiled on this call
   uint64_t memo_hits = 0;        // answered from the estimate memo
   uint64_t witness_hits = 0;     // cached dual witness reused (dot product)
+  // Witness hits served by a pooled optimal basis of the Nn engine
+  // (bounds/basis_pool.h) — a subset of witness_hits.
+  uint64_t pool_hits = 0;
   uint64_t warm_resolves = 0;    // dual-simplex pivots from the cached basis
   uint64_t cold_solves = 0;      // full LP solve
   // LP failures answered with the product bound (BoundResult::fallback);
@@ -334,6 +344,7 @@ class CardinalityAdvisor {
   std::atomic<uint64_t> compiled_misses_{0};
   std::atomic<uint64_t> memo_hits_{0};
   std::atomic<uint64_t> witness_hits_{0};
+  std::atomic<uint64_t> pool_hits_{0};
   std::atomic<uint64_t> warm_resolves_{0};
   std::atomic<uint64_t> cold_solves_{0};
   std::atomic<uint64_t> lp_fallbacks_{0};

@@ -22,6 +22,29 @@ DenseTableau::Scalar DenseTableau::NormalizedRhs(
   return NormalizedRhsEntry(problem_, row_sign_, options_.perturb, i, rhs);
 }
 
+void DenseTableau::AllocArenaScratch() {
+  // One flat block for the tableau and the row scratch, sized to exactly
+  // this request: a single allocation per Build, and repeated Builds of
+  // the same problem shape never hit malloc.
+  const std::size_t cells = static_cast<std::size_t>(rows_) * stride_;
+  arena_.Reset(Arena::ArrayBytes<Scalar>(cells) +
+               4 * Arena::ArrayBytes<double>(rows_) +
+               Arena::ArrayBytes<Scalar>(rows_));
+  t_ = arena_.AllocArray<Scalar>(cells);
+  std::fill(t_, t_ + cells, Scalar{0.0});
+  problem_rhs_ = arena_.AllocArray<double>(rows_);
+  perturb_term_ = arena_.AllocArray<double>(rows_);
+  norm_b_ = arena_.AllocArray<double>(rows_);
+  last_b_ = arena_.AllocArray<double>(rows_);
+  reprice_ = arena_.AllocArray<Scalar>(rows_);
+  for (int i = 0; i < rows_; ++i) {
+    problem_rhs_[i] = problem_.constraint(i).rhs;
+    // The graded perturbation of NormalizedRhsEntry, precomputed so the
+    // re-pricing normalization is one vectorizable sign*b + term pass.
+    perturb_term_[i] = options_.perturb * (1 + i % 101);
+  }
+}
+
 void DenseTableau::Build(const std::vector<double>& rhs) {
   const int n = problem_.num_vars();
   rows_ = problem_.num_constraints();
@@ -41,24 +64,9 @@ void DenseTableau::Build(const std::vector<double>& rhs) {
   cols_ = first_art_ + normalized.num_art;
   stride_ = cols_ + 1;
 
-  // One flat block from the arena instead of a vector per row. Reset first:
-  // everything below is rebuilt, and the re-pricing scratch is invalid
-  // anyway (reprice_valid_ cleared above), so reclaiming the chunks is
-  // safe — repeated Builds of the same problem shape never hit malloc.
-  arena_.Reset();
-  t_ = arena_.AllocArray<Scalar>(static_cast<std::size_t>(rows_) * stride_);
-  std::fill(t_, t_ + static_cast<std::size_t>(rows_) * stride_, Scalar{0.0});
-  problem_rhs_ = arena_.AllocArray<double>(rows_);
-  perturb_term_ = arena_.AllocArray<double>(rows_);
-  norm_b_ = arena_.AllocArray<double>(rows_);
-  last_b_ = arena_.AllocArray<double>(rows_);
-  reprice_ = arena_.AllocArray<Scalar>(rows_);
-  for (int i = 0; i < rows_; ++i) {
-    problem_rhs_[i] = problem_.constraint(i).rhs;
-    // The graded perturbation of NormalizedRhsEntry, precomputed so the
-    // re-pricing normalization is one vectorizable sign*b + term pass.
-    perturb_term_[i] = options_.perturb * (1 + i % 101);
-  }
+  // Everything the arena holds is rebuilt, and the re-pricing scratch is
+  // invalid anyway (reprice_valid_ cleared above).
+  AllocArenaScratch();
 
   basis_.assign(rows_, kNoCol);
   dual_col_.assign(rows_, kNoCol);
@@ -542,18 +550,7 @@ bool DenseTableau::AddConstraintsWarm(const std::vector<LpConstraint>& rows,
   // triangular) and keep their RHS in the widened last column.
   std::vector<Scalar> old_t(
       t_, t_ + static_cast<std::size_t>(old_rows) * old_stride);
-  arena_.Reset();
-  t_ = arena_.AllocArray<Scalar>(static_cast<std::size_t>(rows_) * stride_);
-  std::fill(t_, t_ + static_cast<std::size_t>(rows_) * stride_, Scalar{0.0});
-  problem_rhs_ = arena_.AllocArray<double>(rows_);
-  perturb_term_ = arena_.AllocArray<double>(rows_);
-  norm_b_ = arena_.AllocArray<double>(rows_);
-  last_b_ = arena_.AllocArray<double>(rows_);
-  reprice_ = arena_.AllocArray<Scalar>(rows_);
-  for (int i = 0; i < rows_; ++i) {
-    problem_rhs_[i] = problem_.constraint(i).rhs;
-    perturb_term_[i] = options_.perturb * (1 + i % 101);
-  }
+  AllocArenaScratch();
   for (int i = 0; i < old_rows; ++i) {
     const Scalar* src = old_t.data() + static_cast<std::size_t>(i) * old_stride;
     Scalar* dst = Row(i);

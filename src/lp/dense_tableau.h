@@ -116,6 +116,10 @@ class DenseTableau : public LpBackendImpl {
   std::vector<double> row_sign_;
   std::vector<double> phase2_cost_;     // structural objective, padded to cols_
 
+  // (Re)allocates t_ (zeroed) and the row scratch below in one exactly
+  // sized arena chunk, for the current rows_ and stride_.
+  void AllocArenaScratch();
+
   // Arena-backed per-row scratch, (re)allocated in Build. The normalized
   // RHS pipeline is all double — NormalizedRhsEntry computes in double —
   // so norm_b_/last_b_ hold doubles with zero precision change, and the

@@ -31,6 +31,30 @@ RevisedSimplex::Scalar RevisedSimplex::NormalizedRhs(
   return NormalizedRhsEntry(problem_, row_sign_, options_.perturb, i, rhs);
 }
 
+void RevisedSimplex::AllocArenaScratch() {
+  // One arena chunk sized to exactly this request, so a cold Build costs
+  // one allocation and repeated Builds of the same shape none. The B⁻¹
+  // pool is uninitialized on purpose — binv_valid_ gates every read.
+  const std::size_t pool = static_cast<std::size_t>(rows_) * rows_;
+  const std::size_t block = static_cast<std::size_t>(rows_) * kBinvBlockLanes;
+  arena_.Reset(5 * Arena::ArrayBytes<double>(rows_) +
+               Arena::ArrayBytes<double>(pool) +
+               Arena::ArrayBytes<Scalar>(block));
+  problem_rhs_ = arena_.AllocArray<double>(rows_);
+  perturb_term_ = arena_.AllocArray<double>(rows_);
+  norm_b_ = arena_.AllocArray<double>(rows_);
+  last_b_ = arena_.AllocArray<double>(rows_);
+  x_reprice_ = arena_.AllocArray<double>(rows_);
+  binv_pool_ = arena_.AllocArray<double>(pool);
+  binv_block_ = arena_.AllocArray<Scalar>(block);
+  for (int i = 0; i < rows_; ++i) {
+    problem_rhs_[i] = problem_.constraint(i).rhs;
+    // The graded perturbation of NormalizedRhsEntry, precomputed so RHS
+    // normalization is one vectorizable sign*b + term kernel pass.
+    perturb_term_[i] = options_.perturb * (1 + i % 101);
+  }
+}
+
 void RevisedSimplex::Build(const std::vector<double>& rhs) {
   const int n = problem_.num_vars();
   rows_ = problem_.num_constraints();
@@ -40,26 +64,7 @@ void RevisedSimplex::Build(const std::vector<double>& rhs) {
   binv_valid_.assign(rows_, 0);
   InvalidateReprice();
 
-  // Arena-backed re-pricing scratch: one Reset and a few pointer bumps per
-  // cold Build (the chunks are reused, so repeated Builds of the same
-  // shape never hit the allocator). The B⁻¹ pool is uninitialized on
-  // purpose — binv_valid_ gates every read.
-  arena_.Reset();
-  problem_rhs_ = arena_.AllocArray<double>(rows_);
-  perturb_term_ = arena_.AllocArray<double>(rows_);
-  norm_b_ = arena_.AllocArray<double>(rows_);
-  last_b_ = arena_.AllocArray<double>(rows_);
-  x_reprice_ = arena_.AllocArray<double>(rows_);
-  binv_pool_ =
-      arena_.AllocArray<double>(static_cast<std::size_t>(rows_) * rows_);
-  binv_block_ = arena_.AllocArray<Scalar>(static_cast<std::size_t>(rows_) *
-                                          kBinvBlockLanes);
-  for (int i = 0; i < rows_; ++i) {
-    problem_rhs_[i] = problem_.constraint(i).rhs;
-    // The graded perturbation of NormalizedRhsEntry, precomputed so RHS
-    // normalization is one vectorizable sign*b + term kernel pass.
-    perturb_term_[i] = options_.perturb * (1 + i % 101);
-  }
+  AllocArenaScratch();
 
   // Row normalization shared with the dense backend (lp/lp_backend.h) —
   // backend parity depends on the two applying the identical transform.
@@ -1156,20 +1161,7 @@ bool RevisedSimplex::AddConstraintsWarm(const std::vector<LpConstraint>& rows,
   // Re-layout the arena scratch for the larger row count (the B⁻¹ pool is
   // rows_², so growth re-allocates it regardless); the re-pricing state is
   // invalidated below, so nothing here needs preserving.
-  arena_.Reset();
-  problem_rhs_ = arena_.AllocArray<double>(rows_);
-  perturb_term_ = arena_.AllocArray<double>(rows_);
-  norm_b_ = arena_.AllocArray<double>(rows_);
-  last_b_ = arena_.AllocArray<double>(rows_);
-  x_reprice_ = arena_.AllocArray<double>(rows_);
-  binv_pool_ =
-      arena_.AllocArray<double>(static_cast<std::size_t>(rows_) * rows_);
-  binv_block_ = arena_.AllocArray<Scalar>(static_cast<std::size_t>(rows_) *
-                                          kBinvBlockLanes);
-  for (int i = 0; i < rows_; ++i) {
-    problem_rhs_[i] = problem_.constraint(i).rhs;
-    perturb_term_[i] = options_.perturb * (1 + i % 101);
-  }
+  AllocArenaScratch();
   binv_valid_.assign(rows_, 0);
   InvalidateReprice();
   result_cache_valid_ = false;

@@ -253,6 +253,10 @@ class RevisedSimplex : public LpBackendImpl {
   std::vector<Scalar> x_basic_;  // basic values per slot
   LuBasis lu_;
 
+  // (Re)allocates the scratch below in one exactly sized arena chunk, for
+  // the current rows_.
+  void AllocArenaScratch();
+
   // Arena-backed re-pricing scratch, (re)allocated per cold Build. The
   // normalized-RHS pipeline is all double (NormalizedRhsEntry computes in
   // double), so the double buffers lose nothing; the pivot-precision
