@@ -87,14 +87,14 @@ bool NormalBasisPool::Serves(const Basis& basis, const double* b) {
   return true;
 }
 
-void NormalBasisPool::Answer(const std::vector<double>& log_b, double bound,
-                             bool want_alpha, BoundResult& result) const {
+void NormalBasisPool::Answer(double bound, bool want_alpha,
+                             BoundResult& result) const {
   const Basis& front = bases_.front();
   result.status = LpStatus::kOptimal;
   result.log2_bound = bound;
   result.eval_path = LpEvalPath::kWitness;
   result.pool_hit = true;
-  result.weights.assign(log_b.size(), 0.0);
+  result.weights.assign(sigma_.size(), 0.0);
   for (size_t k = 0; k < front.rows.size(); ++k) {
     result.weights[front.rows[k]] = front.y[k];
   }
@@ -114,7 +114,7 @@ bool NormalBasisPool::Serve(const std::vector<double>& log_b, bool want_alpha,
     // A bitwise repeat of the front basis's last values: it served them
     // then, so it serves them now; α is recomputed only when asked for.
     if (want_alpha) Serves(bases_.front(), b);
-    Answer(log_b, last_bound_, want_alpha, result);
+    Answer(last_bound_, want_alpha, result);
     return true;
   }
   for (size_t k = 0; k < bases_.size(); ++k) {
@@ -128,7 +128,7 @@ bool NormalBasisPool::Serve(const std::vector<double>& log_b, bool want_alpha,
     last_values_.assign(log_b.begin(), log_b.end());
     last_bound_ = bound;
     repeat_ = true;
-    Answer(log_b, bound, want_alpha, result);
+    Answer(bound, want_alpha, result);
     return true;
   }
   return false;
@@ -142,7 +142,7 @@ bool NormalBasisPool::Offer(const std::vector<int>& basis,
   std::vector<bool> slack_basic(rows, false);
   for (int col : basis) {
     if (col >= 0 && col < num_vars) {
-      entry.columns.push_back(col);
+      entry.ws.push_back(columns[col]);
     } else if (col >= num_vars && col < num_vars + rows) {
       slack_basic[col - num_vars] = true;
     } else {
@@ -152,17 +152,17 @@ bool NormalBasisPool::Offer(const std::vector<int>& basis,
   for (int i = 0; i < rows; ++i) {
     if (!slack_basic[i]) entry.rows.push_back(i);
   }
-  const size_t t = entry.columns.size();
+  const size_t t = entry.ws.size();
   if (entry.rows.size() != t) return false;
-  std::sort(entry.columns.begin(), entry.columns.end());
+  // Each column stands for a distinct W, so S is its set of W's.
+  std::sort(entry.ws.begin(), entry.ws.end());
   for (size_t k = 0; k < bases_.size(); ++k) {
-    if (bases_[k].columns == entry.columns && bases_[k].rows == entry.rows) {
+    if (bases_[k].ws == entry.ws && bases_[k].rows == entry.rows) {
       MoveToFront(k);
       return true;
     }
   }
 
-  for (int col : entry.columns) entry.ws.push_back(columns[col]);
   entry.inverse.resize(t * t);
   for (size_t k = 0; k < t; ++k) {
     const int i = entry.rows[k];

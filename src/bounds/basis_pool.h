@@ -42,10 +42,9 @@ class NormalBasisPool {
   static constexpr size_t kCapacity = 8;
 
   // One pooled basis. S and T are ascending; inverse is A_{T,S}⁻¹,
-  // row-major t × t (row j belongs to columns[j], column k to rows[k]).
+  // row-major t × t (row j belongs to ws[j], column k to rows[k]).
   struct Basis {
-    std::vector<int> columns;  // S: basic LP columns
-    std::vector<VarSet> ws;    // the W of each column in S
+    std::vector<VarSet> ws;    // S: the W of each basic LP column
     std::vector<int> rows;     // T: statistic rows whose slack is nonbasic
     std::vector<double> inverse;
     std::vector<double> y;     // the duals of T, y_T = A_{T,S}⁻ᵀ·1
@@ -78,8 +77,7 @@ class NormalBasisPool {
   // Computes α_S into alpha_ and returns whether `basis` serves `b`.
   bool Serves(const Basis& basis, const double* b);
   // Fills `result` from the front basis and alpha_.
-  void Answer(const std::vector<double>& log_b, double bound, bool want_alpha,
-              BoundResult& result) const;
+  void Answer(double bound, bool want_alpha, BoundResult& result) const;
   void MoveToFront(size_t k);
 
   int n_;

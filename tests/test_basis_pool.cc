@@ -398,12 +398,12 @@ bool Serves(const NormalBasisPool::Basis& basis,
   return true;
 }
 
-using BasisKey = std::pair<std::vector<int>, std::vector<int>>;
+using BasisKey = std::pair<std::vector<VarSet>, std::vector<int>>;
 
 std::vector<BasisKey> Keys(const NormalBasisPool& pool) {
   std::vector<BasisKey> keys;
   for (size_t k = 0; k < pool.size(); ++k) {
-    keys.emplace_back(pool.basis(k).columns, pool.basis(k).rows);
+    keys.emplace_back(pool.basis(k).ws, pool.basis(k).rows);
   }
   return keys;
 }
