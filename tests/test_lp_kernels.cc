@@ -241,6 +241,28 @@ TEST(Arena, OversizeRequestGetsDedicatedChunk) {
   EXPECT_EQ(big[4095], 2.0);
 }
 
+// A Build reserves its whole request up front: one chunk of exactly that
+// size, whatever the minimum chunk, reused while requests fit and
+// replaced by one exact chunk when a request outgrows it.
+TEST(Arena, ResetToRequestIsOneExactChunk) {
+  Arena arena;  // the default 64 KB minimum chunk
+  const std::size_t bytes = 3 * Arena::ArrayBytes<double>(66) +
+                            Arena::ArrayBytes<long double>(66 * 97);
+  for (int round = 0; round < 3; ++round) {
+    arena.Reset(bytes);
+    arena.AllocArray<double>(66);
+    arena.AllocArray<long double>(66 * 97);
+    arena.AllocArray<double>(66);
+    arena.AllocArray<double>(66);
+    EXPECT_EQ(arena.CapacityBytes(), bytes) << "round " << round;
+  }
+  arena.Reset(Arena::ArrayBytes<double>(10));  // smaller: chunk kept
+  EXPECT_EQ(arena.CapacityBytes(), bytes);
+  arena.Reset(2 * bytes);  // larger: replaced, not added
+  EXPECT_EQ(arena.CapacityBytes(), 2 * bytes);
+  EXPECT_EQ(Arena::ArrayBytes<double>(3), kArenaAlign);
+}
+
 // ---------------------------------------------------------------------------
 // Blocked FTRAN vs solo FTRAN
 
